@@ -150,7 +150,11 @@ def thermal_state(nbar: float, dim: int = DEFAULT_DIM) -> DensityMatrix:
 
 
 def _loss_kraus_coeffs(dim: int, transmission: float) -> np.ndarray:
-    """b[n, k] = sqrt(C(n,k) T^(n-k) (1-T)^k), the k-photon-loss amplitudes."""
+    """b[n, k] = sqrt(C(n,k) T^(n-k) |1-T|^k), the k-photon-loss amplitudes.
+
+    T > 1 is allowed for the inverse channel; `_loss_map` supplies the sign
+    of (1-T)^k there.
+    """
     T = transmission
     if T == 1.0:  # identity channel
         b = np.zeros((dim, dim))
@@ -163,8 +167,25 @@ def _loss_kraus_coeffs(dim: int, transmission: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     log_binom = np.where(k <= n, log_binom, -np.inf)
-    log_b2 = log_binom + (n - k) * np.log(T) + k * np.log(1.0 - T)
+    log_b2 = log_binom + (n - k) * np.log(T) + k * np.log(abs(1.0 - T))
     return np.exp(0.5 * log_b2)
+
+
+def _loss_map(el: np.ndarray, transmission: float) -> np.ndarray:
+    """sum_k K_k rho K_k^dag for transmission T on a density matrix array.
+
+    (K_k rho K_k^dag)_{m,n} = (1-T)^k sqrt(C(m+k,k) C(n+k,k)) T^((m+n)/2)
+    rho_{m+k,n+k}.  With T -> 1/T the same kernel inverts the channel.
+    """
+    dim = el.shape[0]
+    b = _loss_kraus_coeffs(dim, transmission)
+    sign = -1.0 if transmission > 1.0 else 1.0
+    out = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim):
+        nk = dim - k
+        coeff = b[k:, k]
+        out[:nk, :nk] += sign**k * coeff[:, None] * el[k:, k:] * coeff[None, :]
+    return out
 
 
 def pure_loss_channel(rho: DensityMatrix, transmission: float) -> DensityMatrix:
@@ -175,16 +196,7 @@ def pure_loss_channel(rho: DensityMatrix, transmission: float) -> DensityMatrix:
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must be in [0, 1], got {transmission}")
-    dim = rho.dim
-    b = _loss_kraus_coeffs(dim, transmission)
-    out = np.zeros((dim, dim), dtype=complex)
-    el = rho.elements
-    for k in range(dim):
-        nk = dim - k
-        # (K_k rho K_k^dag)_{m,n} = b[m+k,k] b[n+k,k] rho_{m+k,n+k}
-        coeff = b[k:, k]
-        out[:nk, :nk] += coeff[:, None] * el[k:, k:] * coeff[None, :]
-    return DensityMatrix(dim, out)
+    return DensityMatrix(rho.dim, _loss_map(rho.elements, transmission))
 
 
 def _hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:

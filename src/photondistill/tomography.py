@@ -8,38 +8,43 @@ quadrature projectors, with the detection efficiency folded into the POVM.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import IllConditionedError
-from .fockspace import DensityMatrix, _hermite_functions, pure_loss_channel, quadrature_pdf
+from .fockspace import (
+    DensityMatrix,
+    _hermite_functions,
+    _loss_kraus_coeffs,
+    _loss_map,
+    pure_loss_channel,
+    quadrature_pdf,
+)
 
 logger = logging.getLogger(__name__)
 
 X_RANGE = (-6.0, 6.0)
 N_EDGES = 801  # POVM bin edges across X_RANGE
 SAMPLING_GRID = 4001  # finer grid for inverse-CDF sampling
+CSV_BLOCK = 8192  # samples formatted per write
 
 # inverse-loss amplification beyond this is treated as numerically hopeless
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class QuadratureSample:
-    """One homodyne outcome: local-oscillator phase and quadrature value."""
+def quadrature_record(theta, x) -> np.recarray:
+    """Homodyne record: one row per outcome, float fields `theta` and `x`.
 
-    theta: float
-    x: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
-        object.__setattr__(self, "x", float(self.x))
+    The local-oscillator phase is reduced to [0, 2 pi), so phases that differ
+    by whole turns share one phase row in the reconstruction.
+    """
+    theta = np.asarray(theta, dtype=float) % (2.0 * math.pi)
+    return np.rec.fromarrays([theta, np.asarray(x, dtype=float)], names="theta,x")
 
 
 @dataclass
@@ -60,13 +65,14 @@ def sample_homodyne(
     samples_per_phase: int,
     efficiency: float = 1.0,
     seed: int = 0,
-) -> list[QuadratureSample]:
+) -> np.recarray:
     """Draw quadrature samples of the state seen by a lossy homodyne detector.
 
     The state is degraded by `efficiency` via the pure loss channel and
     sampled per phase by inverse-CDF lookup on a tabulated grid.  Phases get
     independent deterministic substreams, so results do not depend on the
-    order in which phases are processed.
+    order in which phases are processed.  Returns a `quadrature_record`,
+    phase by phase in the given order.
     """
     phases = list(phases)
     if not phases:
@@ -78,15 +84,28 @@ def sample_homodyne(
     lossy = rho if efficiency == 1.0 else pure_loss_channel(rho, efficiency)
     x = np.linspace(*X_RANGE, SAMPLING_GRID)
     streams = np.random.SeedSequence(seed).spawn(len(phases))
-    samples = []
-    for theta, stream in zip(phases, streams):
+    xs = np.empty((len(phases), samples_per_phase))
+    for row, theta, stream in zip(xs, phases, streams):
         pdf = quadrature_pdf(lossy, theta, x)
         cdf = np.concatenate(([0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(x))))
         cdf /= cdf[-1]
         u = np.random.default_rng(stream).uniform(size=samples_per_phase)
-        xs = np.interp(u, cdf, x)
-        samples.extend(QuadratureSample(theta, xv) for xv in xs)
-    return samples
+        row[:] = np.interp(u, cdf, x)
+    return quadrature_record(np.repeat(np.asarray(phases, dtype=float), samples_per_phase),
+                             xs.ravel())
+
+
+def _bin_counts(samples: np.recarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct phases (sorted) and the (phases, N_EDGES-1) histogram of x.
+
+    x outside X_RANGE counts in the first or last bin.
+    """
+    thetas, theta_row = np.unique(samples.theta, return_inverse=True)
+    edges = np.linspace(*X_RANGE, N_EDGES)
+    x_bin = np.clip(np.searchsorted(edges, samples.x, side="right") - 1, 0, N_EDGES - 2)
+    counts = np.zeros((len(thetas), N_EDGES - 1))
+    np.add.at(counts, (theta_row, x_bin), 1.0)
+    return thetas, counts
 
 
 def _bin_matrices(dim: int, edges: np.ndarray) -> np.ndarray:
@@ -106,8 +125,6 @@ def _efficiency_adjusted(G: np.ndarray, efficiency: float) -> np.ndarray:
     if efficiency == 1.0:
         return G
     dim = G.shape[1]
-    from .fockspace import _loss_kraus_coeffs
-
     b = _loss_kraus_coeffs(dim, efficiency)
     out = np.zeros_like(G)
     for k in range(dim):
@@ -125,36 +142,38 @@ def mle_reconstruct(
 ) -> ReconstructionResult:
     """Iterative maximum-likelihood estimate of the density matrix.
 
-    samples: iterable of QuadratureSample or (theta, x) pairs.  Stops when
-    the per-sample log-likelihood gain drops below tol.  The detection
-    efficiency is handled inside the POVM, so the returned state refers to
-    the field before the lossy detector.
+    samples: a `quadrature_record` or any iterable of (theta, x) pairs.
+    Stops when the per-sample log-likelihood gain drops below tol.  The
+    detection efficiency is handled inside the POVM, so the returned state
+    refers to the field before the lossy detector.
     """
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
-    pairs = [(s.theta, s.x) if isinstance(s, QuadratureSample) else (float(s[0]), float(s[1])) for s in samples]
-    if not pairs:
+    if not isinstance(samples, np.recarray):
+        pairs = np.asarray(list(samples), dtype=float)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValueError(f"samples must be (theta, x) pairs, got shape {pairs.shape}")
+        samples = quadrature_record(*pairs.reshape(-1, 2).T)
+    if len(samples) == 0:
         raise ValueError("no samples given")
     n_rec = 10 * dim * dim
-    if len(pairs) < n_rec:
-        logger.warning("only %d samples for dim %d; %d recommended", len(pairs), dim, n_rec)
+    if len(samples) < n_rec:
+        logger.warning("only %d samples for dim %d; %d recommended", len(samples), dim, n_rec)
 
-    thetas = sorted({t for t, _ in pairs})
-    theta_index = {t: i for i, t in enumerate(thetas)}
-    edges = np.linspace(*X_RANGE, N_EDGES)
-    counts = np.zeros((len(thetas), N_EDGES - 1))
-    for t, xv in pairs:
-        b = int(np.clip(np.searchsorted(edges, xv, side="right") - 1, 0, N_EDGES - 2))
-        counts[theta_index[t], b] += 1.0
+    thetas, counts = _bin_counts(samples)
     freqs = counts / counts.sum()
 
-    G = _efficiency_adjusted(_bin_matrices(dim, edges), efficiency)
+    G = _efficiency_adjusted(_bin_matrices(dim, np.linspace(*X_RANGE, N_EDGES)), efficiency)
+    # G is real, so both contractions with it are real matmuls on (bins, dim^2)
+    Gf = G.reshape(len(G), dim * dim)
     n = np.arange(dim)
-    phase = np.exp(1j * np.outer(np.array(thetas), n))  # (J, dim)
+    phase = np.exp(1j * np.outer(thetas, n))  # (J, dim)
     hit = freqs > 0
+    hit_flat = np.flatnonzero(hit)  # gathers faster than the boolean mask
+    freqs_hit = freqs.take(hit_flat)
     # a single occupied bin carries no distribution information; the
     # fixed point is arbitrary, so flag the run as non-converged
-    degenerate = int(np.count_nonzero(hit)) < 2
+    degenerate = len(hit_flat) < 2
 
     rho = np.eye(dim, dtype=complex) / dim
     trace = []
@@ -165,15 +184,15 @@ def mle_reconstruct(
         # matching pr(x, theta) = sum_mn rho_mn e^{i theta (m-n)} psi_m psi_n
         twisted = phase.conj()[:, :, None] * rho[None, :, :].transpose(0, 2, 1) * phase[:, None, :]
         # twisted[j, m, n] = rho_nm e^{-i theta_j (m-n)}
-        pr = np.einsum("lmn,jmn->jl", G, twisted).real
+        pr = twisted.real.reshape(len(thetas), dim * dim) @ Gf.T
         pr = np.clip(pr, 1e-300, None)
-        ll = float(np.sum(freqs[hit] * np.log(pr[hit])))
+        ll = float(np.sum(freqs_hit * np.log(pr.take(hit_flat))))
         trace.append(ll)
         if not degenerate and len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
         weights = np.where(hit, freqs / pr, 0.0)
-        R_real = np.einsum("jl,lmn->jmn", weights, G)
+        R_real = (weights @ Gf).reshape(len(thetas), dim, dim)
         R = np.einsum("jm,jmn,jn->mn", phase.conj(), R_real, phase)
         rho = R @ rho @ R
         rho = 0.5 * (rho + rho.conj().T)
@@ -206,20 +225,8 @@ def loss_correct(rho: DensityMatrix, loss: float) -> DensityMatrix:
         raise IllConditionedError(
             f"inverse-loss amplification {condition:.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
-    # same combinatorial kernel as the forward channel, with T -> 1/T
-    el = rho.elements
-    out = np.zeros_like(el)
-    neg_T_ratio = -loss / T  # (1 - 1/T) * T_inv-weight collapses to this
-    for m in range(dim):
-        for nn in range(dim):
-            kmax = dim - max(m, nn)
-            kk = np.arange(kmax)
-            log_c = 0.5 * (
-                gammaln(m + kk + 1) - gammaln(kk + 1) - gammaln(m + 1)
-                + gammaln(nn + kk + 1) - gammaln(kk + 1) - gammaln(nn + 1)
-            )
-            coeff = np.exp(log_c - 0.5 * (m + nn) * math.log(T)) * neg_T_ratio**kk
-            out[m, nn] = np.sum(coeff * el[m + kk, nn + kk])
+    # the forward channel's kernel with T -> 1/T
+    out = _loss_map(rho.elements, 1.0 / T)
     out = 0.5 * (out + out.conj().T)
     ev, V = np.linalg.eigh(out)
     if ev.min() < -1e-12:
@@ -231,17 +238,29 @@ def loss_correct(rho: DensityMatrix, loss: float) -> DensityMatrix:
 
 
 def write_samples_csv(path, samples):
+    """Write a `theta,x` CSV: `%.12g` values and CRLF line ends."""
+    values = np.column_stack([samples.theta, samples.x])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "x"])
-        for s in samples:
-            writer.writerow([f"{s.theta:.12g}", f"{s.x:.12g}"])
+        fh.write("theta,x\r\n")
+        # one format pass per block: a single pass over a large record leaves
+        # multi-MB temporaries that fragment the heap across repeated calls
+        for start in range(0, len(values), CSV_BLOCK):
+            block = values[start:start + CSV_BLOCK]
+            fh.write("%.12g,%.12g\r\n" * len(block) % tuple(block.ravel().tolist()))
 
 
-def read_samples_csv(path) -> list[QuadratureSample]:
+def read_samples_csv(path) -> np.recarray:
+    """Read a CSV with `theta` and `x` columns, picked by header name."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [QuadratureSample(float(row["theta"]), float(row["x"])) for row in reader]
+        header = [name.strip() for name in fh.readline().rstrip("\r\n").split(",")]
+        missing = [name for name in ("theta", "x") if name not in header]
+        if missing:
+            raise ValueError(f"{path}: no {missing[0]!r} column in header {header}")
+        columns = (header.index("theta"), header.index("x"))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(fh, delimiter=",", usecols=columns, ndmin=2)
+    return quadrature_record(table[:, 0], table[:, 1])
 
 
 def reconstruction_report(result: ReconstructionResult) -> dict:

@@ -188,6 +188,23 @@ class TestTomography:
         assert (out2 / "reconstruction.json").exists()
         assert (out2 / "manifest.json").exists()
 
+    def test_header_only_samples_exit_3(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_bytes(b"theta,x\r\n")
+        code, _ = run(
+            tmp_path, "tomography", "reconstruct", "--samples", str(samples), "--dim", "6",
+        )
+        assert code == 3
+        assert "no samples given" in capsys.readouterr().err
+
+    def test_short_samples_row_exit_3(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_bytes(b"theta,x\r\n0.5,1.0\r\n0.5\r\n")
+        code, _ = run(
+            tmp_path, "tomography", "reconstruct", "--samples", str(samples), "--dim", "6",
+        )
+        assert code == 3
+
 
 class TestFit:
     def test_fit_round_trip_via_cli(self, tmp_path):
