@@ -126,14 +126,11 @@ def fit_objective(
     loss = float(np.clip(loss, *FIT_BOUNDS["loss"]))
     eps = float(np.clip(eps, *FIT_BOUNDS["epsilon"]))
     dc = float(np.clip(dc, *FIT_BOUNDS["delta_c"]))
-    run_params = params.replace(delta_c=dc)
-    total = 0.0
-    for alpha_sq, *obs in observations:
-        model = model_populations(
-            run_params, alpha_sq, loss, eps, corrected_loss=corrected_loss, n_max=3
-        )
-        total += float(np.sum((model - np.asarray(obs)) ** 2))
-    return total
+    model = model_populations(
+        params.replace(delta_c=dc), observations[:, 0], loss, eps,
+        corrected_loss=corrected_loss, n_max=3,
+    )
+    return float(np.sum((model - observations[:, 1:]) ** 2))
 
 
 def fit_imperfections(
@@ -194,14 +191,12 @@ def synthetic_observations(
 ) -> np.ndarray:
     """Forward-model observation rows at the given truth parameters."""
     loss, eps, dc = truth
-    rng = np.random.default_rng(seed)
-    rows = []
-    for alpha_sq in alpha_sq_values:
-        p = model_populations(
-            params.replace(delta_c=dc), float(alpha_sq), loss, eps,
-            corrected_loss=corrected_loss, n_max=3,
-        )
-        if noise > 0.0:
-            p = np.clip(p + rng.normal(scale=noise, size=3) * p, 0.0, 1.0)
-        rows.append((float(alpha_sq), *p))
-    return np.asarray(rows)
+    alpha_sq = np.asarray(alpha_sq_values, dtype=float).reshape(-1)
+    p = model_populations(
+        params.replace(delta_c=dc), alpha_sq, loss, eps,
+        corrected_loss=corrected_loss, n_max=3,
+    )
+    if noise > 0.0:
+        rng = np.random.default_rng(seed)
+        p = np.clip(p + rng.normal(scale=noise, size=p.shape) * p, 0.0, 1.0)
+    return np.column_stack([alpha_sq, p])

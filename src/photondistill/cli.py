@@ -111,17 +111,48 @@ def _format_cell(value) -> str:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, steps = text.split(":")
-        return np.linspace(float(lo), float(hi), int(steps))
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"grid must be MIN:MAX:STEPS, got {text!r}") from exc
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"grid STEPS must be >= 1, got {text!r}")
+    return np.linspace(lo, hi, steps)
 
 
-def _add_common(parser):
+def _alpha_sq_grid(text: str) -> np.ndarray:
+    grid = _parse_grid(text)
+    if not np.all(grid >= 0.0):
+        raise argparse.ArgumentTypeError(f"alpha^2 grid must be >= 0, got {text!r}")
+    return grid
+
+
+def _alpha_sq(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"alpha^2 must be a number, got {text!r}") from exc
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"alpha^2 must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _dim_at_least(minimum: int):
+    def dim(text: str) -> int:  # argparse names it in "invalid dim value"
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"dim must be >= {minimum}, got {value}")
+        return value
+
+    return dim
+
+
+def _add_common(parser, min_dim: int = 2):
     parser.add_argument("--config", default="reference",
                         help="preset name (reference, reference-g2, fiber) or config file path")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--dim", type=int, default=20, help="Fock truncation dimension")
+    parser.add_argument("--dim", type=_dim_at_least(min_dim), default=20,
+                        help=f"Fock truncation dimension (>= {min_dim})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,24 +167,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("sweep", help="heralding probability and populations vs intensity")
-    _add_common(p)
-    p.add_argument("--grid", type=_parse_grid, default="0.05:2.5:50",
+    _add_common(p, min_dim=4)  # the p3 column
+    p.add_argument("--grid", type=_alpha_sq_grid, default="0.05:2.5:50",
                    help="alpha^2 grid MIN:MAX:STEPS")
     p.add_argument("--uncorrected", dest="corrected", action="store_false", default=True,
                    help="report populations without inverting the downstream loss")
 
     p = sub.add_parser("wigner", help="phase-space map of the distilled state")
     _add_common(p)
-    p.add_argument("--alpha-sq", type=float, default=0.31)
+    p.add_argument("--alpha-sq", type=_alpha_sq, default=0.31)
     p.add_argument("--grid", type=_parse_grid, default="-3:3:81",
                    help="q and p axis MIN:MAX:STEPS")
     p.add_argument("--uncorrected", dest="corrected", action="store_false", default=True)
 
     p = sub.add_parser("g2", help="second-order correlation predictions")
     _add_common(p)
-    p.add_argument("--alpha-sq", type=float, default=None,
+    p.add_argument("--alpha-sq", type=_alpha_sq, default=None,
                    help="single-point Monte Carlo at this intensity")
-    p.add_argument("--grid", type=_parse_grid, default=None,
+    p.add_argument("--grid", type=_alpha_sq_grid, default=None,
                    help="alpha^2 grid MIN:MAX:STEPS for the curve")
     p.add_argument("--mc", action="store_true", help="Monte Carlo instead of analytic curve")
     p.add_argument("--trials", type=int, default=1_000_000)
@@ -169,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = tomo_sub.add_parser("simulate", help="draw homodyne samples")
     _add_common(sim)
     sim.add_argument("--state", default="distilled", choices=["distilled", "coherent"])
-    sim.add_argument("--alpha-sq", type=float, default=0.31)
+    sim.add_argument("--alpha-sq", type=_alpha_sq, default=0.31)
     sim.add_argument("--phases", type=int, default=12)
     sim.add_argument("--samples", type=int, default=120_000, help="total sample count")
     sim.add_argument("--efficiency", type=float, default=1.0)
@@ -277,13 +308,12 @@ def cmd_g2(args, writer: RunWriter) -> int:
     if args.alpha_sq is None and args.grid is None:
         raise ModelError("g2 needs --alpha-sq (point mode) or --grid (curve mode)")
     if args.grid is not None:
-        rows = g2_curve(config, args.grid, hbt, pulse_width=args.pulse_fwhm,
-                        dim=args.dim, monte_carlo=args.mc)
+        rows = g2_curve(config, args.grid, hbt, dim=args.dim, monte_carlo=args.mc)
         writer.write_csv("g2_curve.csv", ["alpha_sq", "g2_zero", "stderr", "g2_state"], rows)
     if args.alpha_sq is not None:
         pulse = PulseShape(args.pulse_kind, args.pulse_fwhm, args.alpha_sq)
         rho, _ = distilled_state(config, math.sqrt(args.alpha_sq), dim=args.dim)
-        result = hbt_monte_carlo(rho, pulse, hbt, n_offsets=args.offsets)
+        result = hbt_monte_carlo(rho, hbt, n_offsets=args.offsets)
         rows = [
             {"tau_index": tau, "g2": float(result.g2_tau[tau]),
              "stderr": float(result.stderr_tau[tau])}

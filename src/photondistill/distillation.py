@@ -17,6 +17,7 @@ physical (fully lossy) states, matching a correct-after-mixing analysis.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,33 +126,6 @@ class _BranchPair:
         cross = lam * np.outer(vu, vd.conj())
         M += sign * (cross + cross.conj().T)
         return DensityMatrix(dim, M / np.trace(M).real)
-
-    def populations(self, parity: str, loss: float, n_max: int) -> np.ndarray:
-        """Closed-form <n|rho|n> for n = 0..n_max-1.
-
-        Valid for any transmission T = 1-loss > 0, including T > 1 as the
-        formal over-correction used when fitting corrected data.
-        """
-        sign = _parity_sign(parity)
-        prob = self.parity_probability(parity)
-        if prob < BRANCH_PROB_FLOOR:
-            raise EmptyBranchError(
-                f"{parity} herald has probability {prob:.3e}; state undefined"
-            )
-        T = 1.0 - loss
-        n = np.arange(n_max)
-        log_fact = gammaln(n + 1)
-        lam = self.cross_coefficient(loss)
-        au, ad = abs(self.r_up) ** 2, abs(self.r_down) ** 2
-        direct_up = np.exp(-T * au) * au**n / np.exp(log_fact)
-        direct_down = np.exp(-T * ad) * ad**n / np.exp(log_fact)
-        cross = (
-            2.0
-            * np.real(lam * (np.conj(self.r_down) * self.r_up) ** n)
-            * np.exp(-T * (au + ad) / 2.0)
-            / np.exp(log_fact)
-        )
-        return T**n * (direct_up + sign * cross + direct_down) / (4.0 * prob)
 
     def coherent_sandwich(self, parity: str, loss: float) -> float:
         """<alpha|rho_parity|alpha> with rho at intensity loss `loss`."""
@@ -393,9 +367,138 @@ def distilled_state_general(
     return rho_eff, p_herald
 
 
+def _odd_herald_populations(
+    params: CavityParams,
+    alpha_sq,
+    loss: float,
+    loss_out: float,
+    epsilon: float,
+    n_max: int,
+    renormalize: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Error-mixed odd-herald populations over an array of alpha^2, closed form.
+
+    Every output amplitude is linear in alpha, so each overlap exponent is
+    alpha^2 times a constant of the unit-amplitude branches.  The mixing
+    weights are the branch overlaps with the input at the physical loss
+    `loss`; the mixed populations are those of the branches at `loss_out`
+    (1 - loss_out may exceed 1, the formal over-correction used in
+    fitting).  With `renormalize` each branch is divided by its sum over
+    the n_max levels, as the state truncated at dim = n_max is; otherwise
+    the populations are the exact closed form.  Rows whose herald is empty
+    under the `EmptyBranchError` rule of `distilled_state` are NaN.
+
+    Returns (populations of shape (K, n_max), herald probability (K,)).
+    """
+    a2 = np.asarray(alpha_sq, dtype=float).reshape(-1)
+    if not np.all(a2 >= 0.0):
+        raise ValueError("alpha_sq must be nonnegative")
+    up = branch_amplitudes(params, True, 1.0)
+    down = branch_amplitudes(params, False, 1.0)
+    r_up, r_down = up.r, down.r
+    lu, ld = up.loss_vector(), down.loss_vector()
+    n_up, n_down = abs(r_up) ** 2, abs(r_down) ** 2
+    # exponents of <l_down|l_up> and <r_down|r_up> per unit alpha^2
+    c_loss = np.sum(ld.conj() * lu) - 0.5 * np.sum(np.abs(lu) ** 2 + np.abs(ld) ** 2)
+    c_refl = np.conj(r_down) * r_up - 0.5 * (n_up + n_down)
+
+    # P_odd and 1 - lambda are differences of nearly equal terms at small
+    # alpha^2; expm1 keeps them to rounding there
+    herald = a2 * (c_refl + c_loss)
+    p_odd = -np.expm1(herald).real / 2.0
+    p_even = (1.0 + np.exp(herald).real) / 2.0
+    p_herald = (1.0 - epsilon) * p_odd + epsilon * (1.0 - p_odd)
+    empty = p_odd < BRANCH_PROB_FLOOR
+    if epsilon > 0.0:
+        empty |= p_even < BRANCH_PROB_FLOOR
+
+    # 4 P_parity <alpha|rho_parity|alpha> at the physical loss
+    nu = math.sqrt(1.0 - loss)
+    e_up = -(1.0 + nu * nu * n_up) / 2.0 + nu * r_up
+    e_down = -(1.0 + nu * nu * n_down) / 2.0 + nu * r_down
+    o_up, o_down = np.exp(a2 * e_up), np.exp(a2 * e_down)
+    w_odd, w_even = _parity_split(o_up, o_down, -np.expm1(a2 * (c_loss + loss * c_refl)))
+
+    # 4 P_parity n!/T^n p_n at loss_out from the lossy branch amplitudes
+    # u_n = exp(-T x/2) (alpha r)^n of each atomic state, x = alpha^2 |r|^2
+    T = 1.0 - loss_out
+    n = np.arange(n_max)
+    alpha = np.sqrt(a2)[:, None]
+    x_up, x_down = (a2 * n_up)[:, None], (a2 * n_down)[:, None]
+    u_up = np.exp(-T * x_up / 2.0) * (alpha * r_up) ** n
+    u_down = np.exp(-T * x_down / 2.0) * (alpha * r_down) ** n
+    odd_n, even_n = _parity_split(
+        u_up, u_down, -np.expm1(a2 * (c_loss + loss_out * c_refl))[:, None]
+    )
+    scale = T**n / np.exp(gammaln(n + 1))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_odd = (1.0 - epsilon) * w_odd / (4.0 * p_odd)
+        pops = _branch_populations(scale * odd_n, p_odd, renormalize)
+        if epsilon > 0.0:
+            w_even = epsilon * w_even / (4.0 * p_even)
+            even = _branch_populations(scale * even_n, p_even, renormalize)
+            total = w_odd + w_even
+            pops = (w_odd[:, None] * pops + w_even[:, None] * even) / total[:, None]
+        else:
+            total = w_odd
+        empty |= total < BRANCH_PROB_FLOOR
+    pops[empty] = np.nan
+
+    if renormalize:
+        nbar = T * np.max(a2, initial=0.0) * max(n_up, n_down)
+        if nbar > n_max / 4:
+            warnings.warn(
+                f"largest branch mean photon number {nbar:.3g} exceeds "
+                f"dim/4 = {n_max / 4:.3g}; truncation may be inadequate",
+                stacklevel=3,
+            )
+    return pops, p_herald
+
+
+def _parity_split(up, down, one_minus_lam):
+    """|u|^2 + |d|^2 -/+ 2 Re(lam u d*) for the odd and even parity.
+
+    Written as |u - d|^2 + m and |u + d|^2 - m with m = 2 Re((1-lam) u d*):
+    when u ~ d and lam ~ 1 the odd value is small, and this form keeps it
+    to rounding relative to itself, given 1 - lam computed without
+    cancellation.
+    """
+    mix = 2.0 * np.real(one_minus_lam * up * np.conj(down))
+    return np.abs(up - down) ** 2 + mix, np.abs(up + down) ** 2 - mix
+
+
+def _branch_populations(unnormalized: np.ndarray, prob: np.ndarray, renormalize: bool):
+    """Normalize 4 P_parity p_n rows to the truncated trace or to P_parity."""
+    if renormalize:
+        return unnormalized / unnormalized.sum(axis=1, keepdims=True)
+    return unnormalized / (4.0 * prob[:, None])
+
+
+def distilled_populations(
+    config: DistillationConfig,
+    alpha_sq,
+    dim: int = DEFAULT_DIM,
+    corrected: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Populations of the odd-herald `distilled_state` over an alpha^2 array.
+
+    Row k of the first array holds the dim populations of
+    distilled_state(config, sqrt(alpha_sq[k]), dim=dim, corrected=corrected)
+    and entry k of the second the herald probability it returns, from one
+    closed-form evaluation.  Populations are NaN where the herald is empty.  Warns once per call when the largest
+    branch mean photon number on the grid exceeds dim/4.
+    """
+    loss_out = config.uncorrected_loss if corrected else config.total_loss
+    return _odd_herald_populations(
+        config.params, alpha_sq, config.total_loss, loss_out,
+        config.detection_error, dim, renormalize=True,
+    )
+
+
 def model_populations(
     params: CavityParams,
-    alpha_sq: float,
+    alpha_sq,
     loss: float,
     epsilon: float,
     corrected_loss: float | None = None,
@@ -403,22 +506,20 @@ def model_populations(
 ) -> np.ndarray:
     """Fock populations of the error-mixed odd-heralded state, closed form.
 
-    `loss` is the total physical loss on the light; if `corrected_loss` is
-    given, populations are reported after inverting that downstream part
-    (formally T -> T/(1-corrected_loss), which may exceed 1 while fitting).
-    Used as the cheap forward model for imperfection fitting.
+    `alpha_sq` is a scalar (populations of shape (n_max,)) or an array
+    (shape (K, n_max)).  `loss` is the total physical loss on the light;
+    if `corrected_loss` is given, populations are reported after inverting
+    that downstream part (formally T -> T/(1-corrected_loss), which may
+    exceed 1 while fitting).  Raises EmptyBranchError if any herald is
+    empty.  Used as the cheap forward model for imperfection fitting.
     """
-    pair = _BranchPair(params, math.sqrt(alpha_sq))
-    w_odd = (1.0 - epsilon) * pair.coherent_sandwich(ODD, loss)
-    w_even = epsilon * pair.coherent_sandwich(EVEN, loss) if epsilon > 0 else 0.0
-    total = w_odd + w_even
-    if total < BRANCH_PROB_FLOOR:
-        raise EmptyBranchError("herald probability vanishes")
     loss_out = loss if corrected_loss is None else 1.0 - (1.0 - loss) / (1.0 - corrected_loss)
-    p = w_odd * pair.populations(ODD, loss_out, n_max)
-    if w_even > 0.0:
-        p = p + w_even * pair.populations(EVEN, loss_out, n_max)
-    return p / total
+    pops, _ = _odd_herald_populations(params, alpha_sq, loss, loss_out, epsilon, n_max)
+    empty = np.isnan(pops).any(axis=1)
+    if np.any(empty):
+        at = np.asarray(alpha_sq, dtype=float).reshape(-1)[empty][0]
+        raise EmptyBranchError(f"herald probability vanishes at alpha^2 = {at:g}")
+    return pops[0] if np.ndim(alpha_sq) == 0 else pops
 
 
 def sweep_rows(
@@ -432,38 +533,27 @@ def sweep_rows(
     Zero-probability branches are recorded with NaN markers instead of
     aborting the sweep.  `suppression` is the absolute 1 - P(n>=2);
     `suppression_rel` compares P(n>=2) against the input coherent pulse.
+    Needs dim >= 4 for the p3 column.
     """
-    rows = []
-    for alpha_sq in alpha_sq_values:
-        alpha_sq = float(alpha_sq)
-        row = {"alpha_sq": alpha_sq, "coherent_ref": alpha_sq * math.exp(-alpha_sq)}
-        try:
-            rho, p_up = distilled_state(
-                config, math.sqrt(alpha_sq), ODD, dim=dim, corrected=corrected
-            )
-            pops = rho.populations()
-            tail = float(np.sum(pops[2:]))
-            coh_tail = 1.0 - math.exp(-alpha_sq) * (1.0 + alpha_sq)
-            row.update(
-                p_up=p_up,
-                f1=single_photon_fidelity(rho),
-                p0=float(pops[0]),
-                p1=float(pops[1]),
-                p2=float(pops[2]),
-                p3=float(pops[3]),
-                suppression=1.0 - tail,
-                suppression_rel=float("nan") if coh_tail <= 0 else 1.0 - tail / coh_tail,
-            )
-        except EmptyBranchError:
-            row.update(
-                p_up=herald_probability(config, math.sqrt(alpha_sq)),
-                f1=float("nan"),
-                p0=float("nan"),
-                p1=float("nan"),
-                p2=float("nan"),
-                p3=float("nan"),
-                suppression=float("nan"),
-                suppression_rel=float("nan"),
-            )
-        rows.append(row)
-    return rows
+    if dim < 4:
+        raise ValueError(f"dim must be >= 4 for the p3 column, got {dim}")
+    a2 = np.asarray(alpha_sq_values, dtype=float).reshape(-1)
+    pops, p_up = distilled_populations(config, a2, dim=dim, corrected=corrected)
+    tail = np.sum(pops[:, 2:], axis=1)
+    coh_tail = 1.0 - np.exp(-a2) * (1.0 + a2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        suppression_rel = np.where(coh_tail > 0.0, 1.0 - tail / coh_tail, np.nan)
+    columns = {
+        "alpha_sq": a2,
+        "coherent_ref": a2 * np.exp(-a2),
+        "p_up": p_up,
+        "f1": pops[:, 1],
+        "p0": pops[:, 0],
+        "p1": pops[:, 1],
+        "p2": pops[:, 2],
+        "p3": pops[:, 3],
+        "suppression": 1.0 - tail,
+        "suppression_rel": suppression_rel,
+    }
+    names = list(columns)
+    return [dict(zip(names, row)) for row in zip(*(col.tolist() for col in columns.values()))]

@@ -7,11 +7,12 @@ and the vacuum Wigner function peaks at W(0,0) = 1/pi.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import gammaln
 
 DEFAULT_DIM = 20
 
@@ -228,38 +229,63 @@ def quadrature_pdf(rho: DensityMatrix, theta: float, x) -> np.ndarray:
     return np.clip(pdf, 0.0, None)
 
 
-def _wigner_basis(dim: int, q, p) -> np.ndarray:
-    """W_mn(q, p) table, so that W = sum_mn rho_mn W_mn."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    r2 = q * q + p * p
-    z = q - 1j * p
-    base = np.exp(-r2) / np.pi
-    W = np.empty((dim, dim) + r2.shape, dtype=complex)
-    for m in range(dim):
-        for n in range(m + 1):
-            d = m - n
-            log_coeff = 0.5 * (d * np.log(2.0) + gammaln(n + 1) - gammaln(m + 1))
-            lag = eval_genlaguerre(n, d, 2.0 * r2)
-            Wmn = base * (-1.0) ** n * np.exp(log_coeff) * z**d * lag
-            W[m, n] = Wmn
-            if d:
-                W[n, m] = np.conj(Wmn)
-    return W
+def _laguerre_clenshaw(coeffs: np.ndarray, d: int, x: np.ndarray) -> np.ndarray:
+    """sum_n c_n (-1)^n sqrt(n! d!/(n+d)!) L_n^(d)(x) by Clenshaw's recurrence.
+
+    The normalized functions phi_n = (-1)^n sqrt(n!/(n+d)!) L_n^(d) obey
+    phi_(n+1) = a_n phi_n + b_n phi_(n-1) with
+    a_n = (x - 2n - 1 - d)/sqrt((n+1)(n+d+1)) and
+    b_n = -sqrt(n(n+d)/((n+1)(n+d+1))), so the backward sweep needs only
+    two arrays of the shape of x.  Returns sum_n c_n phi_n * sqrt(d!).
+    """
+    b1 = np.zeros(x.shape, dtype=complex)
+    b2 = np.zeros(x.shape, dtype=complex)
+    for k in range(len(coeffs) - 1, -1, -1):
+        a_k = (x - (2 * k + 1 + d)) / math.sqrt((k + 1) * (k + d + 1))
+        b_next = -math.sqrt((k + 1) * (k + d + 1) / ((k + 2) * (k + d + 2)))
+        b1, b2 = coeffs[k] + a_k * b1 + b_next * b2, b1
+    return b1
 
 
 def wigner(rho: DensityMatrix, q, p):
     """Wigner function at phase-space points (q, p); broadcastable arrays.
 
     Normalized so that the double integral over (q, p) equals 1 and the
-    vacuum gives W(0,0) = 1/pi.
+    vacuum gives W(0,0) = 1/pi.  W = Re sum_mn rho_mn W_mn with
+    W_mn = (-1)^n sqrt(2^d n!/m!) (q - ip)^d L_n^(d)(2r^2) exp(-r^2)/pi
+    for m = n + d >= n and W_nm = conj(W_mn), which equals the sum over
+    the lower diagonals of the Hermitian part of rho (off-diagonals
+    doubled).  Each diagonal's Laguerre series is summed with Clenshaw's
+    recurrence and the diagonals by Horner's rule in sqrt(2) (q - ip), as
+    in QuTiP's wigner(method="clenshaw") (Johansson, Nation & Nori,
+    Comput. Phys. Commun. 184, 1234 (2013)); memory is O(points), with
+    no per-element table.
     """
     q_arr, p_arr = np.broadcast_arrays(np.asarray(q, float), np.asarray(p, float))
-    W = _wigner_basis(rho.dim, q_arr, p_arr)
-    vals = np.einsum("mn,mn...->...", rho.elements, W).real
+    el = rho.elements
+    herm = 0.5 * (el + el.conj().T)
+    x = 2.0 * (q_arr * q_arr + p_arr * p_arr)
+    z = math.sqrt(2.0) * (q_arr - 1j * p_arr)
+    acc = np.zeros(x.shape, dtype=complex)
+    for d in range(rho.dim - 1, -1, -1):
+        coeffs = np.diagonal(herm, -d) * (2.0 if d else 1.0)
+        acc = _laguerre_clenshaw(coeffs, d, x) + acc * (z / math.sqrt(d + 1))
+    vals = acc.real * np.exp(-0.5 * x) / np.pi
     if vals.ndim == 0:
         return float(vals)
     return vals
+
+
+def number_g2(populations) -> np.ndarray:
+    """g2(0) = <n(n-1)>/<n>^2 of photon-number distributions on the last axis.
+
+    NaN where <n> = 0 (undefined).
+    """
+    p = np.asarray(populations, dtype=float)
+    n = np.arange(p.shape[-1])
+    mean = p @ n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mean > 0.0, (p @ (n * (n - 1))) / mean**2, np.nan)
 
 
 def photon_statistics(rho: DensityMatrix) -> PhotonStatistics:
@@ -268,13 +294,12 @@ def photon_statistics(rho: DensityMatrix) -> PhotonStatistics:
     g2(0) = <n(n-1)>/<n>^2; reported as None for the vacuum (undefined).
     """
     p = rho.populations()
-    n = np.arange(rho.dim)
-    mean = float(np.dot(n, p))
-    if mean <= 0.0:
-        g2 = None
-    else:
-        g2 = float(np.dot(n * (n - 1), p) / mean**2)
-    return PhotonStatistics(probabilities=p, mean=mean, g2_zero=g2)
+    g2 = number_g2(p)
+    return PhotonStatistics(
+        probabilities=p,
+        mean=float(np.dot(np.arange(rho.dim), p)),
+        g2_zero=None if np.isnan(g2) else float(g2),
+    )
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams
-from .distillation import DistillationConfig, distilled_state
-from .errors import EmptyBranchError
-from .fockspace import DensityMatrix, photon_statistics
+from .distillation import DistillationConfig, distilled_populations, distilled_state
+from .fockspace import DensityMatrix, number_g2, photon_statistics
 
 GAUSSIAN = "gaussian"
 DOUBLE_PEAK = "double_peak"
@@ -129,29 +128,32 @@ def g2_analytic(rho: DensityMatrix) -> float | None:
     return photon_statistics(rho).g2_zero
 
 
-def g2_click_level(rho: DensityMatrix, efficiency: float, dark_probability: float) -> float:
+def click_g2(populations, efficiency: float, dark_probability: float) -> np.ndarray:
     """Exact expectation of the HBT click estimator, dark counts included.
 
+    `populations` holds photon-number distributions on its last axis.
     Threshold detectors: P(no click on one arm | n photons) =
     (1 - p_dark) (1 - eta/2)^n, and both arms stay silent with probability
-    (1 - p_dark)^2 (1 - eta)^n.
+    (1 - p_dark)^2 (1 - eta)^n.  NaN where no arm ever clicks.
     """
-    p = rho.populations()
-    n = np.arange(rho.dim)
-    eta = efficiency
+    p = np.asarray(populations, dtype=float)
+    n = np.arange(p.shape[-1])
     q = 1.0 - dark_probability
-    single_silent = float(np.dot(p, (1.0 - eta / 2.0) ** n))
-    both_silent = float(np.dot(p, (1.0 - eta) ** n))
+    single_silent = p @ (1.0 - efficiency / 2.0) ** n
+    both_silent = p @ (1.0 - efficiency) ** n
     p1 = 1.0 - q * single_silent
     p11 = 1.0 - 2.0 * q * single_silent + q * q * both_silent
-    if p1 <= 0.0:
-        return float("nan")
-    return p11 / (p1 * p1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p1 > 0.0, p11 / (p1 * p1), np.nan)
+
+
+def g2_click_level(rho: DensityMatrix, efficiency: float, dark_probability: float) -> float:
+    """`click_g2` of one state."""
+    return float(click_g2(rho.populations(), efficiency, dark_probability))
 
 
 def hbt_monte_carlo(
     rho: DensityMatrix,
-    pulse: PulseShape,
     cfg: HBTConfig,
     n_offsets: int = 5,
 ) -> HBTResult:
@@ -234,43 +236,39 @@ def g2_curve(
     config: DistillationConfig,
     alpha_sq_grid,
     cfg: HBTConfig,
-    pulse_width: float = 2.3e-6,
     dim: int = 20,
     monte_carlo: bool = False,
 ) -> list[dict]:
     """Expected g2(0) of the odd-heralded light versus input intensity.
 
-    Uses the exact click-level expectation including dark counts; with
+    Uses the exact click-level expectation including dark counts,
+    evaluated in closed form over the whole grid at once; with
     `monte_carlo` each grid point is additionally estimated by simulation.
     Empty heralds are recorded as NaN rows.
     """
-    rows = []
-    for i, alpha_sq in enumerate(alpha_sq_grid):
-        alpha_sq = float(alpha_sq)
-        row = {"alpha_sq": alpha_sq}
-        try:
-            rho, _ = distilled_state(config, math.sqrt(alpha_sq), dim=dim)
-            row["g2_zero"] = g2_click_level(
-                rho, cfg.detector_efficiency, cfg.dark_probability
+    alpha_sq = np.asarray(alpha_sq_grid, dtype=float).reshape(-1)
+    pops, _ = distilled_populations(config, alpha_sq, dim=dim)
+    empty = np.isnan(pops[:, 0])
+    columns = {
+        "alpha_sq": alpha_sq,
+        "g2_zero": click_g2(pops, cfg.detector_efficiency, cfg.dark_probability),
+        "stderr": np.where(empty, np.nan, 0.0),
+        "g2_state": number_g2(pops),
+    }
+    names = list(columns)
+    rows = [dict(zip(names, row)) for row in zip(*(col.tolist() for col in columns.values()))]
+    if monte_carlo:
+        for i in np.flatnonzero(~empty):
+            rho, _ = distilled_state(config, math.sqrt(alpha_sq[i]), dim=dim)
+            mc_cfg = HBTConfig(
+                detector_efficiency=cfg.detector_efficiency,
+                dark_count_rate=cfg.dark_count_rate,
+                coincidence_window=cfg.coincidence_window,
+                trials=cfg.trials,
+                seed=cfg.seed + int(i),
             )
-            row["stderr"] = 0.0
-            stats = photon_statistics(rho)
-            row["g2_state"] = float("nan") if stats.g2_zero is None else stats.g2_zero
-            if monte_carlo:
-                pulse = PulseShape(GAUSSIAN, pulse_width, alpha_sq)
-                mc_cfg = HBTConfig(
-                    detector_efficiency=cfg.detector_efficiency,
-                    dark_count_rate=cfg.dark_count_rate,
-                    coincidence_window=cfg.coincidence_window,
-                    trials=cfg.trials,
-                    seed=cfg.seed + i,
-                )
-                result = hbt_monte_carlo(rho, pulse, mc_cfg, n_offsets=0)
-                row["g2_zero"] = result.g2_zero
-                row["stderr"] = result.stderr
-        except EmptyBranchError:
-            row.update(g2_zero=float("nan"), stderr=float("nan"), g2_state=float("nan"))
-        rows.append(row)
+            result = hbt_monte_carlo(rho, mc_cfg, n_offsets=0)
+            rows[i].update(g2_zero=result.g2_zero, stderr=result.stderr)
     return rows
 
 

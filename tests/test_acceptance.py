@@ -151,7 +151,7 @@ def test_criterion_8_g2():
         trials=10_000_000,
         seed=2024,
     )
-    result = hbt_monte_carlo(rho, pulse, cfg, n_offsets=5)
+    result = hbt_monte_carlo(rho, cfg, n_offsets=5)
     assert abs(result.g2_zero - 0.045) <= 0.02
     for tau in range(1, 6):
         assert abs(result.g2_tau[tau] - 1.0) <= 0.05
@@ -265,7 +265,7 @@ def test_criterion_12_property_suites():
         cfg = HBTConfig(detector_efficiency=eta, dark_count_rate=0.0,
                         coincidence_window=pulse.dark_window(),
                         trials=2_000_000, seed=seed)
-        results.append(hbt_monte_carlo(rho, pulse, cfg))
+        results.append(hbt_monte_carlo(rho, cfg))
     diff = abs(results[0].g2_zero - results[1].g2_zero)
     err = math.hypot(results[0].stderr, results[1].stderr)
     assert diff < 3.0 * err

@@ -276,3 +276,35 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--grid", "oops", "--out", str(tmp_path / "o")])
         assert err.value.code == 2
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv, argument", [
+        (["wigner", "--alpha-sq", "-1"], "--alpha-sq"),
+        (["tomography", "simulate", "--alpha-sq", "nan"], "--alpha-sq"),
+        (["g2", "--alpha-sq", "-0.1"], "--alpha-sq"),
+        (["sweep", "--grid=-1:1:3"], "--grid"),
+        (["g2", "--grid=-0.5:1:4"], "--grid"),
+        (["sweep", "--grid", "0:1:0"], "--grid"),
+        (["wigner", "--grid=-1:1:0"], "--grid"),
+        (["sweep", "--dim", "2"], "--dim"),
+        (["sweep", "--dim", "3"], "--dim"),
+        (["wigner", "--dim", "1"], "--dim"),
+        (["tomography", "reconstruct", "--samples", "s.csv", "--dim", "1"], "--dim"),
+    ])
+    def test_bad_input_exits_2_naming_the_argument(self, tmp_path, capsys, argv, argument):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert f"argument {argument}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_phase_space_grid_stays_legal(self, tmp_path):
+        code, out = run(tmp_path, "wigner", "--grid=-1:1:3", "--dim", "4")
+        assert code == 0
+        assert len(read_csv_rows(out / "wigner.csv")) == 9
+
+    def test_sweep_at_smallest_dim(self, tmp_path):
+        code, out = run(tmp_path, "sweep", "--grid", "0.1:0.3:2", "--dim", "4")
+        assert code == 0
+        assert len(read_csv_rows(out / "sweep.csv")) == 2

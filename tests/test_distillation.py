@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from photondistill.distillation import (
     detection_error_mix,
     distill_coherent,
     distill_general,
+    distilled_populations,
     distilled_state,
     distilled_state_general,
     herald_output,
@@ -306,3 +308,111 @@ class TestSweepRows:
         rows = sweep_rows(REFERENCE_FIT, [0.5, 1.0], dim=12)
         for row in rows:
             assert abs(row["coherent_ref"] - row["alpha_sq"] * math.exp(-row["alpha_sq"])) < 1e-12
+
+
+def per_point_rows(config, grid, dim, corrected):
+    """Reference: one distilled_state call per alpha^2, NaN where the herald is empty."""
+    pops, p_up = [], []
+    for alpha_sq in grid:
+        try:
+            rho, p = distilled_state(config, math.sqrt(alpha_sq), dim=dim, corrected=corrected)
+            pops.append(rho.populations())
+        except EmptyBranchError:
+            pops.append(np.full(dim, np.nan))
+            p = herald_probability(config, math.sqrt(alpha_sq))
+        p_up.append(p)
+    return np.array(pops), np.array(p_up)
+
+
+class TestClosedFormCore:
+    # distilled_state's branch matrix loses digits like 1e-16/alpha^2 (about
+    # 1e-12 at alpha^2 = 1e-3), so the per-point reference starts at 0.01
+    GRID = np.array([0.0, 0.01, 0.05, 0.31, 0.9, 1.7, 2.5])
+
+    @pytest.mark.parametrize("dim", [4, 12, 20])
+    @pytest.mark.parametrize("corrected", [True, False])
+    @pytest.mark.parametrize("eps", [0.0, 0.013, 0.2])
+    def test_sweep_rows_equal_per_point_states(self, dim, corrected, eps):
+        config = DistillationConfig(
+            params=REFERENCE_FIT.params, detection_error=eps,
+            uncorrected_loss=0.135, downstream_loss=0.251,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # dim 4 is too small for the top of the grid
+            rows = sweep_rows(config, self.GRID, dim=dim, corrected=corrected)
+            pops, p_up = per_point_rows(config, self.GRID, dim, corrected)
+        got = np.array([[row[f"p{n}"] for n in range(4)] for row in rows])
+        np.testing.assert_allclose(got, pops[:, :4], rtol=0, atol=1e-12)
+        np.testing.assert_allclose([row["f1"] for row in rows], pops[:, 1], rtol=0, atol=1e-12)
+        tail = np.sum(pops[:, 2:], axis=1)
+        np.testing.assert_allclose([row["suppression"] for row in rows], 1.0 - tail,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose([row["p_up"] for row in rows], p_up, rtol=0, atol=1e-12)
+        # alpha^2 = 0 is the empty-herald row: NaN populations, p_up = herald_probability
+        assert np.isnan(pops[0]).all() and math.isnan(rows[0]["f1"])
+        assert rows[0]["p_up"] == herald_probability(config, 0.0)
+        assert not np.isnan(got[1:]).any()
+
+    @pytest.mark.parametrize("eps", [0.0, 0.013])
+    def test_distilled_populations_equal_per_point_states(self, eps):
+        config = DistillationConfig(params=IDEAL_PARAMS, detection_error=eps)
+        pops, p_up = distilled_populations(config, self.GRID, dim=12)
+        ref, ref_p = per_point_rows(config, self.GRID, 12, False)
+        np.testing.assert_allclose(pops, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p_up, ref_p, rtol=0, atol=1e-12)
+
+    def test_small_pulses_keep_full_precision(self):
+        # ideal cavity: the odd herald is the odd projection of |alpha>
+        config = DistillationConfig(params=IDEAL_PARAMS)
+        grid = np.array([1e-9, 1e-6, 1e-3, 0.5])
+        pops, _ = distilled_populations(config, grid, dim=20)
+        closed = model_populations(IDEAL_PARAMS, grid, 0.0, 0.0, n_max=20)
+        for row, exact, alpha_sq in zip(pops, closed, grid):
+            oracle = odd_projected_coherent(math.sqrt(alpha_sq), 20).populations()
+            np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-12)
+            # not renormalized: also needs P_odd to full precision
+            np.testing.assert_allclose(exact, oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("corrected_loss", [None, 0.251])
+    @pytest.mark.parametrize("eps", [0.0, 0.013])
+    def test_array_model_populations_equal_stacked_scalar_calls(self, corrected_loss, eps):
+        params = REFERENCE_FIT.params
+        grid = self.GRID[1:]
+        stacked = np.array([
+            model_populations(params, a2, 0.352, eps, corrected_loss=corrected_loss, n_max=5)
+            for a2 in grid
+        ])
+        array = model_populations(params, grid, 0.352, eps,
+                                  corrected_loss=corrected_loss, n_max=5)
+        assert array.shape == (len(grid), 5)
+        np.testing.assert_allclose(array, stacked, rtol=0, atol=1e-14)
+
+    def test_scalar_model_populations_keeps_shape_and_empty_branch_error(self):
+        params = REFERENCE_FIT.params
+        assert model_populations(params, 0.31, 0.352, 0.013).shape == (4,)
+        with pytest.raises(EmptyBranchError):
+            model_populations(params, 0.0, 0.352, 0.013)
+        with pytest.raises(EmptyBranchError):
+            model_populations(params, np.array([0.3, 0.0]), 0.352, 0.013)
+
+    def test_negative_alpha_sq_rejected(self):
+        with pytest.raises(ValueError, match="alpha_sq"):
+            sweep_rows(REFERENCE_FIT, [0.5, -1.0], dim=12)
+        with pytest.raises(ValueError, match="alpha_sq"):
+            model_populations(REFERENCE_FIT.params, -0.5, 0.352, 0.013)
+
+    def test_sweep_needs_dim_four(self):
+        with pytest.raises(ValueError, match="dim"):
+            sweep_rows(REFERENCE_FIT, [0.5], dim=3)
+
+    def test_truncation_warning_once_per_call(self):
+        # branch mean photon numbers up to (1-0.135) * 8 * |r|^2 > 12/4 at dim 12
+        grid = np.linspace(0.5, 8.0, 40)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep_rows(REFERENCE_FIT, grid, dim=12)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1 and "dim/4" in messages[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep_rows(REFERENCE_FIT, grid[:3], dim=12)

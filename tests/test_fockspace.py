@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from photondistill.fockspace import (
     DensityMatrix,
@@ -22,6 +24,29 @@ def random_density(dim, seed):
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     M = A @ A.conj().T
     return DensityMatrix(dim, M / np.trace(M))
+
+
+def reference_wigner(rho, q, p):
+    """The (dim, dim, points) table formula the Clenshaw sum replaced.
+
+    W = Re sum_mn rho_mn W_mn with W_mn = (-1)^n sqrt(2^d n!/m!) z^d
+    L_n^(d)(2 r^2) exp(-r^2)/pi, z = q - ip, d = m - n >= 0, and
+    W_nm = conj(W_mn).
+    """
+    q, p = np.broadcast_arrays(np.asarray(q, float), np.asarray(p, float))
+    r2 = q * q + p * p
+    z = q - 1j * p
+    base = np.exp(-r2) / np.pi
+    W = np.empty((rho.dim, rho.dim) + r2.shape, dtype=complex)
+    for m in range(rho.dim):
+        for n in range(m + 1):
+            d = m - n
+            log_coeff = 0.5 * (d * np.log(2.0) + gammaln(n + 1) - gammaln(m + 1))
+            lag = eval_genlaguerre(n, d, 2.0 * r2)
+            W[m, n] = base * (-1.0) ** n * np.exp(log_coeff) * z**d * lag
+            if d:
+                W[n, m] = np.conj(W[m, n])
+    return np.einsum("mn,mn...->...", rho.elements, W).real
 
 
 class TestCoherentState:
@@ -160,6 +185,49 @@ class TestWigner:
                     p_pts = x0 * s + p * c
                     marg = np.trapezoid(wigner(rho, q_pts, p_pts), p)
                     assert abs(marg - quadrature_pdf(rho, theta, x0)[0]) < 1e-4
+
+
+class TestWignerAgainstTable:
+    AXIS = np.linspace(-4.0, 4.0, 41)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_random_states_with_coherences(self, seed):
+        rho = random_density(12, seed=seed)
+        Q, P = np.meshgrid(self.AXIS, self.AXIS, indexing="ij")
+        np.testing.assert_allclose(wigner(rho, Q, P), reference_wigner(rho, Q, P),
+                                   rtol=0, atol=1e-12)
+
+    def test_non_hermitian_input_keeps_real_part_rule(self):
+        rng = np.random.default_rng(24)
+        el = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        rho = DensityMatrix(12, el / np.trace(el))
+        Q, P = np.meshgrid(self.AXIS, self.AXIS, indexing="ij")
+        np.testing.assert_allclose(wigner(rho, Q, P), reference_wigner(rho, Q, P),
+                                   rtol=0, atol=1e-12)
+
+    def test_scalar_points_and_broadcasting(self):
+        rho = random_density(12, seed=25)
+        for q, p in ((0.0, 0.0), (0.7, -1.3), (-2.2, 0.4)):
+            value = wigner(rho, q, p)
+            assert isinstance(value, float)
+            assert abs(value - float(reference_wigner(rho, q, p))) < 1e-12
+        row = wigner(rho, self.AXIS[:, None], self.AXIS[None, :3])
+        assert row.shape == (41, 3)
+        np.testing.assert_allclose(
+            row, reference_wigner(rho, self.AXIS[:, None], self.AXIS[None, :3]), atol=1e-12)
+
+    def test_memory_is_per_point_not_per_element(self):
+        # a (20, 20, 201^2) complex table is 16 * 400 * 40401 B = 259 MB
+        axis = np.linspace(-3.0, 3.0, 201)
+        Q, P = np.meshgrid(axis, axis, indexing="ij")
+        rho = random_density(20, seed=26)
+        tracemalloc.start()
+        try:
+            wigner(rho, Q, P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 201 * 201 * 20  # 20 complex grids = 13 MB
 
 
 class TestQuadraturePdf:

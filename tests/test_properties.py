@@ -1,0 +1,87 @@
+"""Property tests of the closed-form odd-herald model over random cavities.
+
+Draws rate sets (the kappa split, gamma, detunings), alpha^2 grids in
+[0, 3] and physical losses in [0, 1], and checks invariants that hold by
+construction: nonnegative populations that never sum above one, parity
+purity in the ideal limit, and the once-per-call truncation warning.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from photondistill.cavity import CavityParams, branch_amplitudes
+from photondistill.distillation import (
+    DistillationConfig,
+    _odd_herald_populations,
+    distilled_populations,
+)
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def cavities(draw):
+    return CavityParams.from_decays(
+        g=draw(st.floats(0.0, 20.0)),
+        kappa_r=draw(st.floats(0.05, 5.0)),
+        kappa_t=draw(st.floats(0.0, 2.0)),
+        kappa_m=draw(st.floats(0.0, 2.0)),
+        gamma=draw(st.floats(0.05, 6.0)),
+        delta_a=draw(st.floats(-8.0, 8.0)),
+        delta_c=draw(st.floats(-4.0, 4.0)),
+    )
+
+
+alpha_sq_grids = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12).map(np.array)
+
+
+@SETTINGS
+@given(cavities(), alpha_sq_grids, unit, unit, st.floats(0.0, 0.5),
+       st.integers(2, 24))
+def test_populations_nonnegative_and_subnormalized(params, grid, loss, residual, eps, dim):
+    # the mixed branches at any transmission up to the physical one
+    loss_out = loss * residual
+    pops, p_herald = _odd_herald_populations(params, grid, loss, loss_out, eps, dim)
+    assert pops.shape == (len(grid), dim)
+    assert np.all((p_herald >= 0.0) & (p_herald <= 1.0))
+    finite = pops[~np.isnan(pops).any(axis=1)]
+    # rounding of the odd-parity difference can leave -1e-16 where 0 is exact
+    assert np.all(finite >= -1e-14)
+    assert np.all(finite.sum(axis=1) <= 1.0 + 1e-12)
+
+
+@SETTINGS
+@given(st.floats(0.1, 5.0), st.floats(0.1, 6.0), st.floats(-8.0, 8.0),
+       alpha_sq_grids, st.integers(2, 24))
+def test_odd_herald_is_parity_pure_in_ideal_limit(kappa_r, gamma, delta_a, grid, dim):
+    # lossless, over-coupled and resonant cavity with g >> kappa, gamma: the
+    # empty-cavity branch reflects with -1 and the coupled one with +1
+    params = CavityParams.from_decays(g=1e7, kappa_r=kappa_r, kappa_t=0.0, kappa_m=0.0,
+                                      gamma=gamma, delta_a=delta_a)
+    pops, _ = _odd_herald_populations(params, grid, 0.0, 0.0, 0.0, dim)
+    empty = np.isnan(pops).any(axis=1)  # below the herald floor, alpha^2 = 0 included
+    assert np.all(empty[grid == 0.0])
+    assert np.all(np.abs(pops[~empty, 0::2]) < 1e-12)
+
+
+@SETTINGS
+@given(cavities(), alpha_sq_grids.map(lambda g: 4.0 * g), unit, unit, st.integers(2, 24),
+       st.booleans())
+def test_truncation_warning_fires_once_exactly_above_dim_over_4(
+    params, grid, uncorrected, downstream, dim, corrected
+):
+    config = DistillationConfig(params=params, uncorrected_loss=uncorrected,
+                                downstream_loss=downstream)
+    loss_out = uncorrected if corrected else config.total_loss
+    largest_r = max(abs(branch_amplitudes(params, up, 1.0).r) ** 2 for up in (True, False))
+    nbar = (1.0 - loss_out) * grid.max() * largest_r
+    assume(abs(nbar - dim / 4) > 1e-9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        distilled_populations(config, grid, dim=dim, corrected=corrected)
+    assert len(caught) == (1 if nbar > dim / 4 else 0)
