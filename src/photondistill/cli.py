@@ -29,7 +29,14 @@ from .cavity import branch_amplitudes, cooperativity, f1_max, xi
 from .distillation import distilled_state, sweep_rows
 from .errors import ModelError
 from .fockspace import coherent_state, wigner
-from .photonstats import HBTConfig, PulseShape, bandwidth_check, g2_curve, hbt_monte_carlo
+from .photonstats import (
+    DARK_WINDOW_WIDTHS,
+    HBTConfig,
+    PulseShape,
+    bandwidth_check,
+    g2_curve,
+    hbt_monte_carlo,
+)
 from .presets import HBT_DEFAULTS, budget_csv_path, resolve_config
 from .tomography import (
     mle_reconstruct,
@@ -126,24 +133,51 @@ def _alpha_sq_grid(text: str) -> np.ndarray:
     return grid
 
 
-def _alpha_sq(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"alpha^2 must be a number, got {text!r}") from exc
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"alpha^2 must be finite and >= 0, got {text!r}")
-    return value
+def _real(name: str, low: float, high: float = math.inf, strict: bool = False):
+    """Parser of a finite number in [low, high], or in (low, high] if strict."""
+    bounds = f"> {low:g}" if strict else f">= {low:g}"
+    if high != math.inf:
+        bounds += f" and <= {high:g}"
 
-
-def _dim_at_least(minimum: int):
-    def dim(text: str) -> int:  # argparse names it in "invalid dim value"
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"dim must be >= {minimum}, got {value}")
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}") from exc
+        if not (math.isfinite(value) and (value > low if strict else value >= low)
+                and value <= high):
+            raise argparse.ArgumentTypeError(f"{name} must be finite and {bounds}, got {text!r}")
         return value
 
-    return dim
+    return parse
+
+
+def _int_at_least(name: str, minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_alpha_sq = _real("alpha^2", 0.0)
+
+
+def _g2_conflict(args) -> str | None:
+    """Usage error between `g2` arguments, naming the argument, or None."""
+    if args.offsets >= args.trials:
+        return (f"argument --offsets: must be < --trials ({args.trials}), "
+                f"got {args.offsets}")
+    dark_probability = args.dark_rate * (DARK_WINDOW_WIDTHS * args.pulse_fwhm)
+    if dark_probability > 1.0:
+        return ("argument --dark-rate: dark-click probability --dark-rate x "
+                f"{DARK_WINDOW_WIDTHS:g} --pulse-fwhm must be <= 1, got {dark_probability:g}")
+    return None
 
 
 def _add_common(parser, min_dim: int = 2):
@@ -151,7 +185,7 @@ def _add_common(parser, min_dim: int = 2):
                         help="preset name (reference, reference-g2, fiber) or config file path")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--dim", type=_dim_at_least(min_dim), default=20,
+    parser.add_argument("--dim", type=_int_at_least("dim", min_dim), default=20,
                         help=f"Fock truncation dimension (>= {min_dim})")
 
 
@@ -187,11 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_alpha_sq_grid, default=None,
                    help="alpha^2 grid MIN:MAX:STEPS for the curve")
     p.add_argument("--mc", action="store_true", help="Monte Carlo instead of analytic curve")
-    p.add_argument("--trials", type=int, default=1_000_000)
-    p.add_argument("--offsets", type=int, default=5, help="run offsets for g2(tau)")
-    p.add_argument("--detector-efficiency", type=float, default=HBT_DEFAULTS["detector_efficiency"])
-    p.add_argument("--dark-rate", type=float, default=HBT_DEFAULTS["dark_count_rate"])
-    p.add_argument("--pulse-fwhm", type=float, default=HBT_DEFAULTS["pulse_fwhm"])
+    p.add_argument("--trials", type=_int_at_least("trials", 1), default=1_000_000)
+    p.add_argument("--offsets", type=_int_at_least("offsets", 0), default=5,
+                   help="run offsets for g2(tau), < --trials")
+    p.add_argument("--detector-efficiency", type=_real("detector efficiency", 0.0, 1.0),
+                   default=HBT_DEFAULTS["detector_efficiency"])
+    p.add_argument("--dark-rate", type=_real("dark rate", 0.0),
+                   default=HBT_DEFAULTS["dark_count_rate"],
+                   help="dark counts per second; rate x 3 pulse widths must be <= 1")
+    p.add_argument("--pulse-fwhm", type=_real("pulse FWHM", 0.0, strict=True),
+                   default=HBT_DEFAULTS["pulse_fwhm"], help="seconds")
     p.add_argument("--pulse-kind", default="gaussian",
                    choices=["gaussian", "double_peak", "rectangular"])
 
@@ -301,7 +340,7 @@ def cmd_g2(args, writer: RunWriter) -> int:
     hbt = HBTConfig(
         detector_efficiency=args.detector_efficiency,
         dark_count_rate=args.dark_rate,
-        coincidence_window=3.0 * args.pulse_fwhm,
+        coincidence_window=DARK_WINDOW_WIDTHS * args.pulse_fwhm,
         trials=args.trials,
         seed=args.seed,
     )
@@ -414,6 +453,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    conflict = _g2_conflict(args) if args.command == "g2" else None
+    if conflict is not None:
+        parser.error(conflict)
     writer = RunWriter(args.out)
     try:
         code = COMMANDS[args.command](args, writer)

@@ -4,7 +4,10 @@ pulse-bandwidth validity check.
 
 The Monte Carlo follows the run-level protocol: one heralded pulse per
 trial, split 50:50 onto two threshold detectors, thinned by the detection
-efficiency, with Poissonian dark counts added per detector.  g2(tau) is
+efficiency, and each detector fires a dark click with probability
+p_dark = dark rate x coincidence window.  Only the two click booleans of a
+trial enter the estimator, so each trial is one draw from their joint
+distribution, which `click_g2` evaluates in closed form too.  g2(tau) is
 estimated from coincidences between runs separated by tau repetition
 periods, normalized by the product of the singles probabilities.
 """
@@ -100,15 +103,19 @@ class HBTConfig:
     def __post_init__(self):
         if not 0.0 <= self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must be in [0, 1]")
-        if self.dark_count_rate < 0:
-            raise ValueError("dark_count_rate must be nonnegative")
-        if self.coincidence_window <= 0:
-            raise ValueError("coincidence_window must be positive")
+        if not (math.isfinite(self.dark_count_rate) and self.dark_count_rate >= 0):
+            raise ValueError("dark_count_rate must be finite and nonnegative")
+        if not (math.isfinite(self.coincidence_window) and self.coincidence_window > 0):
+            raise ValueError("coincidence_window must be finite and positive")
+        if self.dark_probability > 1.0:
+            raise ValueError("dark_probability = dark_count_rate x coincidence_window "
+                             f"must be <= 1, got {self.dark_probability:g}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
 
     @property
     def dark_probability(self) -> float:
+        """Probability that one detector fires a dark click in the window."""
         return self.dark_count_rate * self.coincidence_window
 
 
@@ -128,28 +135,86 @@ def g2_analytic(rho: DensityMatrix) -> float | None:
     return photon_statistics(rho).g2_zero
 
 
-def click_g2(populations, efficiency: float, dark_probability: float) -> np.ndarray:
-    """Exact expectation of the HBT click estimator, dark counts included.
+def _split_weights(dim: int) -> np.ndarray:
+    """w[n, k] = C(n, k) / 2^n: n photons leave k in arm 1 at the 50:50 splitter."""
+    w = np.zeros((dim, dim))
+    w[:, 0] = 0.5 ** np.arange(dim)
+    for n in range(1, dim):
+        w[n, 1:] = 0.5 * (w[n - 1, :-1] + w[n - 1, 1:])
+    return w
 
-    `populations` holds photon-number distributions on its last axis.
-    Threshold detectors: P(no click on one arm | n photons) =
-    (1 - p_dark) (1 - eta/2)^n, and both arms stay silent with probability
-    (1 - p_dark)^2 (1 - eta)^n.  NaN where no arm ever clicks.
+
+def _click_outcomes(populations, efficiency: float, dark_probability: float) -> np.ndarray:
+    """Joint click distribution of the two HBT arms, dark clicks included.
+
+    `populations` holds photon-number distributions on its last axis; the
+    result has (both silent, arm 1 alone, both click) on its last axis, and
+    arm 2 alone is as likely as arm 1 alone.  An arm holding k photons
+    stays silent with probability s_k = (1 - p_dark)(1 - eta)^k and clicks
+    with x_k = -expm1(log s_k).  Every outcome is a sum of nonnegative terms
+    over the binomial split, so a rare coincidence keeps full relative
+    precision instead of being a difference of O(1) numbers.
     """
     p = np.asarray(populations, dtype=float)
-    n = np.arange(p.shape[-1])
-    q = 1.0 - dark_probability
-    single_silent = p @ (1.0 - efficiency / 2.0) ** n
-    both_silent = p @ (1.0 - efficiency) ** n
-    p1 = 1.0 - q * single_silent
-    p11 = 1.0 - 2.0 * q * single_silent + q * q * both_silent
+    dim = p.shape[-1]
+    k = np.arange(dim)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) at eta or p_dark = 1
+        log_silent = np.log1p(-dark_probability) + np.where(
+            k > 0, k * np.log1p(-efficiency), 0.0)
+    silent = np.exp(log_silent)
+    click = -np.expm1(log_silent)
+    w = _split_weights(dim)
+    rest = np.abs(k[:, None] - k)  # photons in arm 2 wherever w[n, k] > 0
+    given_n = np.stack([
+        (w * silent * silent[rest]).sum(axis=1),
+        (w * click * silent[rest]).sum(axis=1),
+        (w * click * click[rest]).sum(axis=1),
+    ], axis=-1)
+    return p @ given_n
+
+
+def click_g2(populations, efficiency: float, dark_probability: float) -> np.ndarray:
+    """Exact expectation of the HBT click estimator, dark clicks included.
+
+    `populations` holds photon-number distributions on its last axis.
+    g2 = P(both click) / P(one arm clicks)^2 over `_click_outcomes`, the
+    distribution `hbt_monte_carlo` samples.  NaN where no arm ever clicks.
+    """
+    outcomes = _click_outcomes(populations, efficiency, dark_probability)
+    both = outcomes[..., 2]
+    p1 = outcomes[..., 1] + both
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(p1 > 0.0, p11 / (p1 * p1), np.nan)
+        return np.where(p1 > 0.0, both / (p1 * p1), np.nan)
 
 
 def g2_click_level(rho: DensityMatrix, efficiency: float, dark_probability: float) -> float:
     """`click_g2` of one state."""
     return float(click_g2(rho.populations(), efficiency, dark_probability))
+
+
+def _sample_clicks(outcomes, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Click booleans of both arms for `trials` runs, one uniform per run.
+
+    `outcomes` is one row of `_click_outcomes`.  The unit interval is cut
+    into [arm 1 alone | both | arm 2 alone | silent], so arm 1 clicks below
+    the second cut and arm 2 between the first and the third.  Trials come
+    in blocks of MC_BLOCK with one RNG substream each, so the clicks depend
+    only on (seed, trials), and a longer run extends a shorter one.
+    """
+    silent, alone, both = outcomes
+    cut1, cut2, cut3 = np.cumsum([alone, both, alone]) / (silent + 2.0 * alone + both)
+    c1 = np.empty(trials, dtype=bool)
+    c2 = np.empty(trials, dtype=bool)
+    streams = np.random.SeedSequence(seed).spawn((trials + MC_BLOCK - 1) // MC_BLOCK)
+    for block, stream in enumerate(streams):
+        start = block * MC_BLOCK
+        u = np.random.default_rng(stream).random(min(MC_BLOCK, trials - start))
+        arm1 = c1[start:start + len(u)]
+        arm2 = c2[start:start + len(u)]
+        np.less(u, cut2, out=arm1)
+        np.greater_equal(u, cut1, out=arm2)
+        arm2 &= u < cut3
+    return c1, c2
 
 
 def hbt_monte_carlo(
@@ -159,75 +224,35 @@ def hbt_monte_carlo(
 ) -> HBTResult:
     """Simulate the run-by-run coincidence measurement of the state.
 
-    Per trial: draw a photon number from the state, split it binomially at
-    the 50:50 beam splitter, thin each arm by the detector efficiency and
-    add Poissonian dark counts over the coincidence window.  Trials are
-    generated in fixed-size blocks with per-block RNG substreams, so the
-    result depends only on (seed, trials), not on execution layout.
+    Per trial: one draw of the two click booleans from their joint
+    distribution (`_click_outcomes`: binomial 50:50 split, efficiency
+    thinning and a dark click per detector), so the estimator's expectation
+    is `click_g2`.  g2(tau) pairs arm 1 of run i with arm 2 of run i + tau,
+    for tau = 0 .. n_offsets.
     """
+    if not 0 <= n_offsets < cfg.trials:
+        raise ValueError(f"n_offsets must be in [0, trials), got {n_offsets} "
+                         f"for {cfg.trials} trials")
     probs = np.clip(rho.populations(), 0.0, None)
-    probs = probs / probs.sum()
-    eta = cfg.detector_efficiency
-    p_dark = cfg.dark_probability
+    outcomes = _click_outcomes(probs, cfg.detector_efficiency, cfg.dark_probability)
+    c1, c2 = _sample_clicks(outcomes, cfg.trials, cfg.seed)
 
-    n_blocks = (cfg.trials + MC_BLOCK - 1) // MC_BLOCK
-    streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
-    clicks1 = []
-    clicks2 = []
-    for block, stream in enumerate(streams):
-        size = min(MC_BLOCK, cfg.trials - block * MC_BLOCK)
-        rng = np.random.default_rng(stream)
-        n = rng.choice(len(probs), size=size, p=probs)
-        n1 = rng.binomial(n, 0.5)
-        d1 = rng.binomial(n1, eta)
-        d2 = rng.binomial(n - n1, eta)
-        dark1 = rng.poisson(p_dark, size=size)
-        dark2 = rng.poisson(p_dark, size=size)
-        clicks1.append((d1 + dark1) > 0)
-        clicks2.append((d2 + dark2) > 0)
-    c1 = np.concatenate(clicks1)
-    c2 = np.concatenate(clicks2)
-
-    n1 = int(np.count_nonzero(c1))
-    n2 = int(np.count_nonzero(c2))
-    if n1 == 0 or n2 == 0:
-        return HBTResult(
-            g2_tau=np.full(n_offsets + 1, np.nan),
-            g2_zero=float("nan"),
-            stderr=float("nan"),
-            stderr_tau=np.full(n_offsets + 1, np.nan),
-            singles=(n1, n2),
-            coincidences=0,
-            trials=cfg.trials,
-        )
-    p1 = n1 / cfg.trials
-    p2 = n2 / cfg.trials
-
-    g2 = np.empty(n_offsets + 1)
-    se = np.empty(n_offsets + 1)
-    coincidences0 = 0
-    for tau in range(n_offsets + 1):
-        if tau == 0:
-            co = int(np.count_nonzero(c1 & c2))
-            pairs = cfg.trials
-            coincidences0 = co
-        else:
-            co = int(np.count_nonzero(c1[:-tau] & c2[tau:]))
-            pairs = cfg.trials - tau
-        p11 = co / pairs
-        g2[tau] = p11 / (p1 * p2)
+    # NumPy counts: an arm that never clicked makes g2 and se NaN, not an exception
+    n1, n2 = np.array([np.count_nonzero(c1), np.count_nonzero(c2)])
+    pairs = cfg.trials - np.arange(n_offsets + 1)
+    counts = np.array([np.count_nonzero(c1[:cfg.trials - tau] & c2[tau:])
+                       for tau in range(n_offsets + 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g2 = counts / pairs / (n1 / cfg.trials * (n2 / cfg.trials))
         # delta-method error from the three Poisson-ish counts
-        if co > 0:
-            se[tau] = g2[tau] * math.sqrt(1.0 / co + 1.0 / n1 + 1.0 / n2)
-        else:
-            se[tau] = float("nan")
+        se = np.where(counts > 0, g2 * np.sqrt(1.0 / counts + 1.0 / n1 + 1.0 / n2), np.nan)
     return HBTResult(
         g2_tau=g2,
         g2_zero=float(g2[0]),
         stderr=float(se[0]),
         stderr_tau=se,
-        singles=(n1, n2),
-        coincidences=coincidences0,
+        singles=(int(n1), int(n2)),
+        coincidences=int(counts[0]),
         trials=cfg.trials,
     )
 

@@ -291,6 +291,15 @@ class TestInputContract:
         (["sweep", "--dim", "3"], "--dim"),
         (["wigner", "--dim", "1"], "--dim"),
         (["tomography", "reconstruct", "--samples", "s.csv", "--dim", "1"], "--dim"),
+        (["g2", "--alpha-sq", "0.1", "--trials", "0"], "--trials"),
+        (["g2", "--alpha-sq", "0.1", "--offsets=-1"], "--offsets"),
+        (["g2", "--alpha-sq", "0.1", "--trials", "5", "--offsets", "5"], "--offsets"),
+        (["g2", "--alpha-sq", "0.1", "--detector-efficiency", "1.5"], "--detector-efficiency"),
+        (["g2", "--alpha-sq", "0.1", "--detector-efficiency=-0.1"], "--detector-efficiency"),
+        (["g2", "--alpha-sq", "0.1", "--dark-rate=-1"], "--dark-rate"),
+        (["g2", "--alpha-sq", "0.1", "--dark-rate", "inf"], "--dark-rate"),
+        (["g2", "--alpha-sq", "0.1", "--pulse-fwhm", "0"], "--pulse-fwhm"),
+        (["g2", "--alpha-sq", "0.1", "--dark-rate", "1e6"], "--dark-rate"),
     ])
     def test_bad_input_exits_2_naming_the_argument(self, tmp_path, capsys, argv, argument):
         with pytest.raises(SystemExit) as err:

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from photondistill.cavity import CavityParams
-from photondistill.distillation import DistillationConfig, distilled_state
+from photondistill.distillation import DistillationConfig, distilled_populations, distilled_state
 from photondistill.errors import EmptyBranchError
 from photondistill.fockspace import DensityMatrix, coherent_state, fock_state, photon_statistics
 from photondistill.photonstats import (
+    MC_BLOCK,
     HBTConfig,
     PulseShape,
+    _click_outcomes,
+    _sample_clicks,
     bandwidth_check,
+    click_g2,
     g2_analytic,
     g2_click_level,
     g2_curve,
@@ -155,6 +159,96 @@ class TestHBTMonteCarlo:
         assert abs(result.g2_zero - exact) < 3.0 * result.stderr
 
 
+class TestHBTConfig:
+    def test_dark_probability_above_one_rejected(self):
+        with pytest.raises(ValueError, match="dark_probability"):
+            HBTConfig(dark_count_rate=1e6, coincidence_window=6.9e-6)
+        assert HBTConfig(dark_count_rate=1.0, coincidence_window=1.0).dark_probability == 1.0
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, -1.0])
+    def test_dark_rate_must_be_finite_and_nonnegative(self, rate):
+        with pytest.raises(ValueError, match="dark_count_rate"):
+            HBTConfig(dark_count_rate=rate)
+
+    @pytest.mark.parametrize("n_offsets", [-1, 100, 101])
+    def test_offsets_must_lie_below_trials(self, n_offsets):
+        rho = coherent_state(0.4, 10).density_matrix()
+        with pytest.raises(ValueError, match="n_offsets"):
+            hbt_monte_carlo(rho, HBTConfig(trials=100), n_offsets=n_offsets)
+
+
+def _mp_click_g2(populations, efficiency, dark_probability):
+    """50-digit P(both click) and g2 of the textbook form 1 - 2qS + q^2 B."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        p = [mpmath.mpf(float(x)) for x in populations]
+        eta, q = mpmath.mpf(efficiency), 1 - mpmath.mpf(dark_probability)
+        total = mpmath.fsum(p)
+        single = mpmath.fsum(x * (1 - eta / 2) ** n for n, x in enumerate(p))
+        both = mpmath.fsum(x * (1 - eta) ** n for n, x in enumerate(p))
+        p1 = total - q * single
+        p11 = total - 2 * q * single + q * q * both
+        return p11, p11 / (p1 * p1)
+
+
+class TestClickOutcomes:
+    def test_paper_detector_against_50_digits(self):
+        # at eta = 0.05 with 20/s x 6.9 us of darks, P(both click) is 5e-6..1e-3
+        eta, p_dark = 0.05, 20.0 * GAUSS_PULSE.dark_window()
+        pops, _ = distilled_populations(G2_CONFIG, np.array([1e-3, 0.11, 0.5, 1.5, 2.5]), dim=16)
+        both = _click_outcomes(pops, eta, p_dark)[:, 2]
+        g2 = click_g2(pops, eta, p_dark)
+        for row, got_both, got_g2 in zip(pops, both, g2):
+            want_both, want_g2 = _mp_click_g2(row, eta, p_dark)
+            assert abs(got_both / want_both - 1) <= 1e-13
+            assert abs(got_g2 / want_g2 - 1) <= 1e-13
+
+
+def _outcome_counts(c1, c2):
+    """Trials with (both silent, arm 1 alone, arm 2 alone, both click)."""
+    return np.array([np.count_nonzero(~c1 & ~c2), np.count_nonzero(c1 & ~c2),
+                     np.count_nonzero(~c1 & c2), np.count_nonzero(c1 & c2)])
+
+
+class TestClickSampler:
+    @pytest.mark.parametrize("state", ["coherent", "distilled", "weak"])
+    def test_outcome_counts_follow_the_joint_distribution(self, state):
+        if state == "coherent":
+            rho = coherent_state(math.sqrt(0.5), 16).density_matrix()
+        elif state == "distilled":
+            rho, _ = distilled_state(G2_CONFIG, math.sqrt(0.11), dim=16)
+        else:
+            rho = random_weak_state(np.random.default_rng(17))
+        trials = 4_000_000
+        eta, p_dark = 0.3, 2000.0 * 6.9e-6
+        silent, alone, both = _click_outcomes(rho.populations(), eta, p_dark)
+        expected = trials * np.array([silent, alone, alone, both]) / (silent + 2 * alone + both)
+        counts = _outcome_counts(*_sample_clicks((silent, alone, both), trials, seed=51))
+        assert counts.sum() == trials
+        sigma = np.sqrt(expected * (1.0 - expected / trials))
+        assert np.all(np.abs(counts - expected) <= 5.0 * sigma)
+
+    def test_perfect_detectors_never_see_one_photon_twice(self):
+        rho = fock_state(1, 4).density_matrix()
+        cfg = HBTConfig(detector_efficiency=1.0, dark_count_rate=0.0, trials=300_000, seed=3)
+        result = hbt_monte_carlo(rho, cfg)
+        assert result.coincidences == 0
+        assert result.g2_zero == 0.0
+        assert sum(result.singles) == cfg.trials
+
+    def test_longer_run_extends_shorter_one(self):
+        pops = coherent_state(0.6, 10).density_matrix().populations()
+        outcomes = _click_outcomes(pops, 0.4, 0.01)
+        short = _sample_clicks(outcomes, MC_BLOCK, seed=9)
+        long = _sample_clicks(outcomes, MC_BLOCK + 17, seed=9)
+        again = _sample_clicks(outcomes, MC_BLOCK + 17, seed=9)
+        for arm_short, arm_long, arm_again in zip(short, long, again):
+            assert len(arm_long) == MC_BLOCK + 17
+            np.testing.assert_array_equal(arm_long, arm_again)
+            np.testing.assert_array_equal(arm_long[:MC_BLOCK], arm_short)
+
+
 class TestG2Curve:
     def test_curve_shape(self):
         cfg = HBTConfig(detector_efficiency=0.05, dark_count_rate=20.0,
@@ -203,9 +297,7 @@ class TestG2CurveEquivalence:
     def test_rows_equal_per_point_states(self, dim, eps):
         config = DistillationConfig(params=G2_CONFIG.params, detection_error=eps,
                                     uncorrected_loss=0.135)
-        # eta = 0.2: at 0.05 the coincidence probability is a difference of
-        # O(1) terms near 1e-4, so last-digit changes of the populations
-        # move g2 by ~1e-12 (see test_paper_detector_relative)
+        # the paper's eta = 0.05 is test_paper_detector_relative
         cfg = HBTConfig(detector_efficiency=0.2, dark_count_rate=20.0,
                         coincidence_window=6.9e-6)
         with warnings.catch_warnings():

@@ -4,6 +4,8 @@ Draws rate sets (the kappa split, gamma, detunings), alpha^2 grids in
 [0, 3] and physical losses in [0, 1], and checks invariants that hold by
 construction: nonnegative populations that never sum above one, parity
 purity in the ideal limit, and the once-per-call truncation warning.
+The HBT click distribution is drawn over random photon-number
+distributions, detector efficiencies and dark-click probabilities.
 """
 
 import warnings
@@ -18,6 +20,7 @@ from photondistill.distillation import (
     _odd_herald_populations,
     distilled_populations,
 )
+from photondistill.photonstats import _click_outcomes
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -85,3 +88,13 @@ def test_truncation_warning_fires_once_exactly_above_dim_over_4(
         warnings.simplefilter("always")
         distilled_populations(config, grid, dim=dim, corrected=corrected)
     assert len(caught) == (1 if nbar > dim / 4 else 0)
+
+
+@SETTINGS
+@given(st.lists(unit, min_size=1, max_size=30).filter(lambda p: sum(p) > 0), unit, unit)
+def test_click_outcomes_are_a_distribution(weights, efficiency, dark_probability):
+    populations = np.array(weights) / sum(weights)
+    silent, alone, both = _click_outcomes(populations, efficiency, dark_probability)
+    assert min(silent, alone, both) >= 0.0
+    # arm 2 alone is as likely as arm 1 alone
+    assert abs(silent + 2.0 * alone + both - 1.0) <= 1e-12
