@@ -6,7 +6,6 @@ from .cavity import BranchAmplitudes, CavityParams, branch_amplitudes, cooperati
 from .distillation import (
     DistillationConfig,
     HeraldedOutput,
-    detection_error_mix,
     distill_coherent,
     distill_general,
     distilled_state,

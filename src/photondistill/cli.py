@@ -39,6 +39,7 @@ from .photonstats import (
 )
 from .presets import HBT_DEFAULTS, budget_csv_path, resolve_config
 from .tomography import (
+    CSV_BLOCK,
     mle_reconstruct,
     read_samples_csv,
     reconstruction_report,
@@ -73,10 +74,24 @@ class RunWriter:
         self.outputs: list[str] = []
 
     def write_csv(self, name: str, fieldnames, rows):
-        lines = [",".join(fieldnames)]
-        for row in rows:
-            lines.append(",".join(_format_cell(row[key]) for key in fieldnames))
-        _atomic_write(self.out_dir / name, "\n".join(lines) + "\n")
+        """Write dict rows as CSV: floats as %.12g, other values by str()."""
+        width = len(fieldnames)
+        values = [row[key] for row in rows for key in fieldnames]
+        formats = []
+        for col in range(width):
+            column = values[col::width]
+            if set(map(type, column)) == {float}:
+                formats.append("%.12g")
+            else:  # mixed types: cell by cell
+                formats.append("%s")
+                values[col::width] = [f"{v:.12g}" if isinstance(v, float) else str(v)
+                                      for v in column]
+        # one format pass per block of rows, as in write_samples_csv
+        line = ",".join(formats) + "\n"
+        step = CSV_BLOCK * width
+        blocks = [values[start:start + step] for start in range(0, len(values), step)]
+        body = "".join(line * (len(block) // width) % tuple(block) for block in blocks)
+        _atomic_write(self.out_dir / name, ",".join(fieldnames) + "\n" + body)
         self.outputs.append(name)
         return self.out_dir / name
 
@@ -107,12 +122,6 @@ class RunWriter:
             "outputs": list(self.outputs),
         }
         _atomic_write(self.out_dir / "manifest.json", json.dumps(payload, indent=2) + "\n")
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -316,8 +325,8 @@ def cmd_wigner(args, writer: RunWriter) -> int:
     Q, P = np.meshgrid(axis, axis, indexing="ij")
     W = wigner(rho, Q, P)
     rows = [
-        {"q": float(q), "p": float(p), "w": float(w)}
-        for q, p, w in zip(Q.ravel(), P.ravel(), W.ravel())
+        {"q": q, "p": p, "w": w}
+        for q, p, w in zip(Q.ravel().tolist(), P.ravel().tolist(), W.ravel().tolist())
     ]
     writer.write_csv("wigner.csv", ["q", "p", "w"], rows)
     imin = int(np.argmin(W))

@@ -25,7 +25,7 @@ from scipy.special import gammaln
 
 from .cavity import CavityParams, branch_amplitudes
 from .errors import EmptyBranchError
-from .fockspace import DEFAULT_DIM, DensityMatrix, coherent_state
+from .fockspace import DEFAULT_DIM, DensityMatrix
 from . import fockspace
 
 # Herald probabilities below this are treated as an empty (undefined) branch.
@@ -33,14 +33,6 @@ BRANCH_PROB_FLOOR = 1e-12
 
 ODD = "odd"
 EVEN = "even"
-
-
-def _parity_sign(parity: str) -> int:
-    if parity == ODD:
-        return -1
-    if parity == EVEN:
-        return +1
-    raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
 @dataclass(frozen=True)
@@ -80,72 +72,171 @@ class HeraldedOutput:
     p_down: float
 
 
-class _BranchPair:
-    """Scalar overlap machinery for the two coherent output branches."""
+def _parity_index(parity: str) -> int:
+    """Index of `parity` on the first axis of the branch arrays (odd first)."""
+    if parity not in (ODD, EVEN):
+        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+    return int(parity == EVEN)
 
-    def __init__(self, params: CavityParams, alpha: complex):
-        self.alpha = complex(alpha)
-        self.up = branch_amplitudes(params, True, alpha)
-        self.down = branch_amplitudes(params, False, alpha)
-        self.r_up = self.up.r
-        self.r_down = self.down.r
-        lu = self.up.loss_vector()
-        ld = self.down.loss_vector()
-        # <l_down|l_up> over the three traced-out loss modes
-        self.loss_overlap = np.exp(
-            np.sum(ld.conj() * lu) - 0.5 * np.sum(np.abs(lu) ** 2 + np.abs(ld) ** 2)
-        )
-        # exponent of the reflected-mode overlap <r_down|r_up>
-        self.refl_cross = (
-            np.conj(self.r_down) * self.r_up
-            - 0.5 * (abs(self.r_up) ** 2 + abs(self.r_down) ** 2)
-        )
-        self.total_overlap = np.exp(self.refl_cross) * self.loss_overlap
 
-    def parity_probability(self, parity: str) -> float:
-        sign = _parity_sign(parity)
-        return (1.0 + sign * self.total_overlap.real) / 2.0
+def _require_herald(parity: str, prob: float):
+    if prob < BRANCH_PROB_FLOOR:
+        raise EmptyBranchError(f"{parity} herald has probability {prob:.3e}; state undefined")
 
-    def cross_coefficient(self, loss: float) -> complex:
-        """Coherence factor multiplying |nu r_up><nu r_down| after loss."""
-        return self.loss_overlap * np.exp(loss * self.refl_cross)
 
-    def branch_matrix(self, parity: str, loss: float, dim: int) -> DensityMatrix:
-        """Heralded state for a coherent input, after intensity loss `loss`."""
-        sign = _parity_sign(parity)
-        prob = self.parity_probability(parity)
-        if prob < BRANCH_PROB_FLOOR:
-            raise EmptyBranchError(
-                f"{parity} herald has probability {prob:.3e}; state undefined"
+def _alpha_sq(alpha) -> float:
+    """alpha^2 of a coherent input amplitude, which must be real and >= 0."""
+    alpha = complex(alpha)
+    if alpha.imag != 0.0:
+        raise ValueError("input amplitude is taken real")
+    if alpha.real < 0.0:
+        raise ValueError("alpha must be nonnegative")
+    return alpha.real**2
+
+
+def _unit_branches(params: CavityParams):
+    """Constants of the two atomic branches at unit input amplitude.
+
+    Returns r_up, r_down, the per-lost-photon overlap chi = <l_down|l_up>
+    of the three traced-out loss modes, and the exponents of <l_down|l_up>
+    and <r_down|r_up> per unit alpha^2.  The real part of an exponent
+    <d|u> - (|u|^2 + |d|^2)/2 is written -|u - d|^2/2, which is never
+    positive and vanishes for equal branches (no coupling).
+    """
+    up = branch_amplitudes(params, True, 1.0)
+    down = branch_amplitudes(params, False, 1.0)
+    lu, ld = up.loss_vector(), down.loss_vector()
+    chi = np.sum(ld.conj() * lu)
+    c_loss = complex(-0.5 * np.sum(np.abs(lu - ld) ** 2), chi.imag)
+    c_refl = complex(-0.5 * abs(up.r - down.r) ** 2, (np.conj(down.r) * up.r).imag)
+    return up.r, down.r, chi, c_loss, c_refl
+
+
+def _coherent_branches(
+    params: CavityParams,
+    alpha_sq,
+    loss: float,
+    loss_out: float,
+    n_max: int,
+    renormalize: bool = False,
+    outer: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both heralded branches of a coherent input over an alpha^2 array, closed form.
+
+    Every output amplitude is linear in alpha, so each overlap exponent is
+    alpha^2 times a constant of the unit-amplitude branches.  Returns three
+    arrays indexed [parity (odd, even), point, ...]: P_parity; the overlap
+    <alpha|rho_parity|alpha> with the input at the physical loss `loss`;
+    and rho_parity at `loss_out` on n_max levels, as populations or, with
+    `outer`, as density matrices (1 - loss_out may exceed 1, the formal
+    over-correction used in fitting).  With `renormalize` each branch is
+    divided by its trace over the n_max levels, as the state truncated at
+    dim = n_max is, and one warning is emitted when the largest branch mean
+    photon number exceeds n_max/4; otherwise the branches are the exact
+    closed form.  Branches of an empty herald are NaN.
+    """
+    a2 = np.asarray(alpha_sq, dtype=float).reshape(-1)
+    if not np.all(a2 >= 0.0):
+        raise ValueError("alpha_sq must be nonnegative")
+    r_up, r_down, _, c_loss, c_refl = _unit_branches(params)
+    n_up, n_down = abs(r_up) ** 2, abs(r_down) ** 2
+    T = 1.0 - loss_out
+    if renormalize:
+        nbar = T * np.max(a2, initial=0.0) * max(n_up, n_down)
+        if nbar > n_max / 4:
+            warnings.warn(
+                f"largest branch mean photon number {nbar:.3g} exceeds "
+                f"dim/4 = {n_max / 4:.3g}; truncation may be inadequate",
+                stacklevel=3,
             )
-        nu = math.sqrt(1.0 - loss)
-        vu = coherent_state(nu * self.r_up, dim).amplitudes
-        vd = coherent_state(nu * self.r_down, dim).amplitudes
-        lam = self.cross_coefficient(loss)
-        M = np.outer(vu, vu.conj()) + np.outer(vd, vd.conj())
-        cross = lam * np.outer(vu, vd.conj())
-        M += sign * (cross + cross.conj().T)
-        return DensityMatrix(dim, M / np.trace(M).real)
 
-    def coherent_sandwich(self, parity: str, loss: float) -> float:
-        """<alpha|rho_parity|alpha> with rho at intensity loss `loss`."""
-        sign = _parity_sign(parity)
-        prob = self.parity_probability(parity)
-        if prob < BRANCH_PROB_FLOOR:
-            raise EmptyBranchError(
-                f"{parity} herald has probability {prob:.3e}; state undefined"
-            )
-        nu = math.sqrt(1.0 - loss)
-        a = self.alpha
+    # P_odd and 1 - lambda are differences of nearly equal terms at small
+    # alpha^2; expm1 keeps them to rounding there
+    herald = a2 * (c_refl + c_loss)
+    probs = np.array([-np.expm1(herald).real / 2.0, (1.0 + np.exp(herald).real) / 2.0])
 
-        def overlap(beta):
-            return np.exp(-(abs(a) ** 2 + abs(beta) ** 2) / 2.0 + np.conj(a) * beta)
+    # 4 P_parity <alpha|rho_parity|alpha> from <alpha|nu alpha r> of each branch
+    nu = math.sqrt(1.0 - loss)
+    e_up = -(1.0 + nu * nu * n_up) / 2.0 + nu * r_up
+    e_down = -(1.0 + nu * nu * n_down) / 2.0 + nu * r_down
+    overlaps = np.array(_parity_split(
+        np.exp(a2 * e_up), np.exp(a2 * e_down), -np.expm1(a2 * (c_loss + loss * c_refl))
+    ))
 
-        ou = overlap(nu * self.r_up)
-        od = overlap(nu * self.r_down)
-        lam = self.cross_coefficient(loss)
-        val = abs(ou) ** 2 + abs(od) ** 2 + sign * 2.0 * np.real(lam * ou * np.conj(od))
-        return float(val.real) / (4.0 * prob)
+    # 4 P_parity rho_parity from the Fock amplitudes exp(-T x/2) (sqrt(T)
+    # alpha r)^n / sqrt(n!) of each lossy branch, x = alpha^2 |r|^2
+    n = np.arange(n_max)
+    root_fact = np.exp(0.5 * gammaln(n + 1))
+    beta = math.sqrt(T) * np.sqrt(a2)[:, None]
+    u_up = np.exp(-T * (a2 * n_up)[:, None] / 2.0) * (beta * r_up) ** n / root_fact
+    u_down = np.exp(-T * (a2 * n_down)[:, None] / 2.0) * (beta * r_down) ** n / root_fact
+    one_minus_lam = -np.expm1(a2 * (c_loss + loss_out * c_refl))[:, None]
+    if outer:
+        one_minus_lam = one_minus_lam[:, :, None]
+    branches = np.array(_parity_split(u_up, u_down, one_minus_lam, outer))
+
+    if renormalize:
+        diagonal = np.diagonal(branches, axis1=-2, axis2=-1).real if outer else branches
+        norm = diagonal.sum(axis=-1)
+    else:
+        norm = 4.0 * probs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        overlaps /= 4.0 * probs
+        branches /= norm.reshape(norm.shape + (1,) * (branches.ndim - 2))
+    return probs, overlaps, branches
+
+
+def _parity_split(up, down, one_minus_lam, outer=False):
+    """|u><u| + |d><d| -/+ (lam |u><d| + h.c.) for the odd and even parity.
+
+    Written as |u - d><u - d| + m and |u + d><u + d| - m with
+    m = (1-lam)|u><d| + h.c.: when u ~ d and lam ~ 1 the odd part is
+    small, and this form keeps it to rounding relative to itself, given
+    1 - lam computed without cancellation.  With `outer` the last axis of
+    up/down holds Fock amplitudes and the result their outer products;
+    otherwise it is taken elementwise, which gives the diagonal.
+    """
+    if outer:
+        def ket_bra(a, b):
+            return a[..., :, None] * b[..., None, :].conj()
+    else:
+        def ket_bra(a, b):
+            return a * b.conj()
+    mix = one_minus_lam * ket_bra(up, down)
+    mix = mix + (np.swapaxes(mix, -1, -2) if outer else mix).conj()
+    odd = ket_bra(up - down, up - down) + mix
+    even = ket_bra(up + down, up + down) - mix
+    return (odd, even) if outer else (odd.real, even.real)
+
+
+def _error_mix(parity: str, epsilon: float, probs, overlaps, states):
+    """Heralded state after detection errors, with its herald probability.
+
+    A misread atom (probability epsilon) heralds the wrong parity, so
+    rho = [(1-eps) w_match rho_match + eps w_wrong rho_wrong] / total, each
+    branch weighted by its overlap w with the input, and
+    P(herald) = (1-eps) P_match + eps (1 - P_match).  The arguments are
+    indexed by parity first (odd, even); the weights broadcast over the
+    leading axes of the states.  Returns the mixed state, P(herald) and
+    the mask of empty heralds: a mixed branch or the total weight below
+    BRANCH_PROB_FLOOR.
+    """
+    match = _parity_index(parity)
+    p_match = probs[match]
+    p_herald = (1.0 - epsilon) * p_match + epsilon * (1.0 - p_match)
+    empty = p_match < BRANCH_PROB_FLOOR
+    w_match = (1.0 - epsilon) * overlaps[match]
+    if epsilon > 0.0:
+        wrong = 1 - match
+        empty = empty | (probs[wrong] < BRANCH_PROB_FLOOR)
+        w_wrong = epsilon * overlaps[wrong]
+        total = w_match + w_wrong
+        axes = (...,) + (None,) * (states.ndim - 1 - np.ndim(total))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mixed = (w_match[axes] * states[match] + w_wrong[axes] * states[wrong]) / total[axes]
+    else:
+        total, mixed = w_match, states[match]
+    return mixed, p_herald, empty | (total < BRANCH_PROB_FLOOR)
 
 
 def distill_coherent(
@@ -159,22 +250,21 @@ def distill_coherent(
 
     Applies the config's total loss (or only the uncorrected production
     loss when `corrected`).  Detection errors are not mixed in here; see
-    `detection_error_mix` / `distilled_state`.
+    `distilled_state`.
     """
-    if not np.isrealobj(alpha) and abs(complex(alpha).imag) > 0:
-        raise ValueError("input amplitude is taken real")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    pair = _BranchPair(config.params, alpha)
+    index = _parity_index(parity)
     loss = config.uncorrected_loss if corrected else config.total_loss
-    return pair.branch_matrix(parity, loss, dim)
+    probs, _, states = _coherent_branches(
+        config.params, _alpha_sq(alpha), loss, loss, dim, renormalize=True, outer=True
+    )
+    _require_herald(parity, probs[index, 0])
+    return DensityMatrix(dim, states[index, 0])
 
 
 def parity_probabilities(config: DistillationConfig, alpha: float) -> tuple[float, float]:
     """True (error-free) probabilities of the odd and even heralds."""
-    pair = _BranchPair(config.params, alpha)
-    p_odd = pair.parity_probability(ODD)
-    return p_odd, 1.0 - p_odd
+    probs, _, _ = _coherent_branches(config.params, _alpha_sq(alpha), 0.0, 0.0, 1)
+    return float(probs[0, 0]), float(probs[1, 0])
 
 
 def herald_probability(config: DistillationConfig, alpha: float) -> float:
@@ -182,70 +272,40 @@ def herald_probability(config: DistillationConfig, alpha: float) -> float:
 
     P(up) = (1-eps) * P_odd + eps * P_even.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    p_odd, p_even = parity_probabilities(config, alpha)
-    eps = config.detection_error
-    return (1.0 - eps) * p_odd + eps * p_even
+    branches = _coherent_branches(config.params, _alpha_sq(alpha), 0.0, 0.0, 1)
+    _, p_up, _ = _error_mix(ODD, config.detection_error, *branches)
+    return float(p_up[0])
 
 
 def herald_output(
     config: DistillationConfig, alpha: float, dim: int = DEFAULT_DIM, corrected: bool = False
 ) -> HeraldedOutput:
     """Both heralded branches with their (error-free) probabilities."""
-    pair = _BranchPair(config.params, alpha)
     loss = config.uncorrected_loss if corrected else config.total_loss
-    p_odd = pair.parity_probability(ODD)
+    probs, _, states = _coherent_branches(
+        config.params, _alpha_sq(alpha), loss, loss, dim, renormalize=True, outer=True
+    )
+    _require_herald(ODD, probs[0, 0])
+    _require_herald(EVEN, probs[1, 0])
     return HeraldedOutput(
-        rho_odd=pair.branch_matrix(ODD, loss, dim),
-        rho_even=pair.branch_matrix(EVEN, loss, dim),
-        p_up=p_odd,
-        p_down=1.0 - p_odd,
+        rho_odd=DensityMatrix(dim, states[0, 0]),
+        rho_even=DensityMatrix(dim, states[1, 0]),
+        p_up=float(probs[0, 0]),
+        p_down=float(probs[1, 0]),
     )
 
 
-def detection_error_mix(
-    rho_odd: DensityMatrix,
-    rho_even: DensityMatrix,
-    alpha: float,
-    epsilon: float,
-) -> DensityMatrix:
-    """Admix the wrong-parity branch caused by faulty atomic state detection.
-
-    The branches are weighted by their overlap with the input pulse:
-    rho_eff = [(1-eps) <a|rho-|a> rho- + eps <a|rho+|a> rho+] / P(up).
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
-    if rho_odd.dim != rho_even.dim:
-        raise ValueError("branch dimensions differ")
-    v = coherent_state(alpha, rho_odd.dim).amplitudes
-    w_odd = (1.0 - epsilon) * float(np.real(v.conj() @ rho_odd.elements @ v))
-    w_even = epsilon * float(np.real(v.conj() @ rho_even.elements @ v))
-    total = w_odd + w_even
-    if total < BRANCH_PROB_FLOOR:
-        raise EmptyBranchError("herald probability vanishes; mixed state undefined")
-    mix = (w_odd * rho_odd.elements + w_even * rho_even.elements) / total
-    return DensityMatrix(rho_odd.dim, mix)
-
-
-def _general_branch(
-    rho_in: DensityMatrix, params: CavityParams, parity: str
-) -> tuple[np.ndarray, float]:
-    """Unnormalized heralded output of the generalized Fock-basis map."""
-    sign = _parity_sign(parity)
+def _general_branches(rho_in: DensityMatrix, params: CavityParams) -> np.ndarray:
+    """Unnormalized odd and even outputs of the generalized Fock-basis map, before loss."""
     dim = rho_in.dim
-    up = branch_amplitudes(params, True, 1.0)
-    down = branch_amplitudes(params, False, 1.0)
-    tau_u, tau_d = up.r, down.r
+    tau_u, tau_d, chi, _, _ = _unit_branches(params)
     mu2_u = max(1.0 - abs(tau_u) ** 2, 0.0)
     mu2_d = max(1.0 - abs(tau_d) ** 2, 0.0)
-    # per-lost-photon overlap between the two branches' loss modes
-    chi = complex(np.sum(up.loss_vector() * down.loss_vector().conj()))
 
     n = np.arange(dim)
     rho = rho_in.elements
-    out = np.zeros((dim, dim), dtype=complex)
+    same = np.zeros((dim, dim), dtype=complex)
+    cross = np.zeros((dim, dim), dtype=complex)
     pow_u = tau_u**n
     pow_d = tau_d**n
     for k in range(dim):
@@ -255,14 +315,15 @@ def _general_branch(
         au = root_binom * pow_u[: dim - k]  # A_k^up acting coefficients
         ad = root_binom * pow_d[: dim - k]
         block = rho[k:, k:]
-        out[: dim - k, : dim - k] += (
+        same[: dim - k, : dim - k] += (
             mu2_u**k * (au[:, None] * block * au.conj()[None, :])
             + mu2_d**k * (ad[:, None] * block * ad.conj()[None, :])
-            + sign * chi**k * (au[:, None] * block * ad.conj()[None, :])
-            + sign * np.conj(chi) ** k * (ad[:, None] * block * au.conj()[None, :])
         )
-    out /= 4.0
-    return out, float(np.trace(out).real)
+        cross[: dim - k, : dim - k] += (
+            chi**k * (au[:, None] * block * ad.conj()[None, :])
+            + np.conj(chi) ** k * (ad[:, None] * block * au.conj()[None, :])
+        )
+    return np.array([same - cross, same + cross]) / 4.0
 
 
 def distill_general(
@@ -277,11 +338,9 @@ def distill_general(
     probability of that parity outcome.  For coherent inputs this
     reproduces `distill_coherent` exactly.
     """
-    out, prob = _general_branch(rho_in, config.params, parity)
-    if prob < BRANCH_PROB_FLOOR:
-        raise EmptyBranchError(
-            f"{parity} herald has probability {prob:.3e}; state undefined"
-        )
+    out = _general_branches(rho_in, config.params)[_parity_index(parity)]
+    prob = float(np.trace(out).real)
+    _require_herald(parity, prob)
     state = DensityMatrix(rho_in.dim, out / prob)
     loss = config.uncorrected_loss if corrected else config.total_loss
     if loss > 0.0:
@@ -314,27 +373,15 @@ def distilled_state(
     inverting the downstream loss after mixing.
     Returns (state, herald probability including detection errors).
     """
-    pair = _BranchPair(config.params, alpha)
-    eps = config.detection_error
-    sign = _parity_sign(parity)
-    loss_phys = config.total_loss
-    loss_out = config.uncorrected_loss if corrected else loss_phys
-    right = EVEN if parity == ODD else ODD
-    w_match = (1.0 - eps) * pair.coherent_sandwich(parity, loss_phys)
-    w_wrong = eps * pair.coherent_sandwich(right, loss_phys) if eps > 0 else 0.0
-    total = w_match + w_wrong
-    if total < BRANCH_PROB_FLOOR:
+    loss_out = config.uncorrected_loss if corrected else config.total_loss
+    branches = _coherent_branches(
+        config.params, _alpha_sq(alpha), config.total_loss, loss_out, dim,
+        renormalize=True, outer=True,
+    )
+    rho, p_herald, empty = _error_mix(parity, config.detection_error, *branches)
+    if empty[0]:
         raise EmptyBranchError("herald probability vanishes; mixed state undefined")
-    rho_match = pair.branch_matrix(parity, loss_out, dim)
-    if w_wrong > 0.0:
-        rho_wrong = pair.branch_matrix(right, loss_out, dim)
-        mix = (w_match * rho_match.elements + w_wrong * rho_wrong.elements) / total
-        rho_eff = DensityMatrix(dim, mix)
-    else:
-        rho_eff = rho_match
-    p_match = pair.parity_probability(parity)
-    p_herald = (1.0 - eps) * p_match + eps * (1.0 - p_match)
-    return rho_eff, p_herald
+    return DensityMatrix(dim, rho[0]), float(p_herald[0])
 
 
 def distilled_state_general(
@@ -343,136 +390,28 @@ def distilled_state_general(
     parity: str = ODD,
     corrected: bool = False,
 ) -> tuple[DensityMatrix, float]:
-    """Full pipeline for arbitrary inputs; weights are Tr(rho_in rho_branch)."""
-    eps = config.detection_error
-    right = EVEN if parity == ODD else ODD
-    branch, p_match = distill_general(rho_in, config, parity, corrected=False)
-    if eps > 0.0:
-        wrong, _ = distill_general(rho_in, config, right, corrected=False)
-        w_match = (1.0 - eps) * float(np.real(np.trace(rho_in.elements @ branch.elements)))
-        w_wrong = eps * float(np.real(np.trace(rho_in.elements @ wrong.elements)))
-        total = w_match + w_wrong
-        if total < BRANCH_PROB_FLOOR:
-            raise EmptyBranchError("herald probability vanishes; mixed state undefined")
-        if corrected:
-            branch, _ = distill_general(rho_in, config, parity, corrected=True)
-            wrong, _ = distill_general(rho_in, config, right, corrected=True)
-        mix = (w_match * branch.elements + w_wrong * wrong.elements) / total
-        rho_eff = DensityMatrix(rho_in.dim, mix)
-    else:
-        if corrected:
-            branch, _ = distill_general(rho_in, config, parity, corrected=True)
-        rho_eff = branch
-    p_herald = (1.0 - eps) * p_match + eps * (1.0 - p_match)
-    return rho_eff, p_herald
+    """Full pipeline for arbitrary inputs; weights are Tr(rho_in rho_branch).
 
-
-def _odd_herald_populations(
-    params: CavityParams,
-    alpha_sq,
-    loss: float,
-    loss_out: float,
-    epsilon: float,
-    n_max: int,
-    renormalize: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Error-mixed odd-herald populations over an array of alpha^2, closed form.
-
-    Every output amplitude is linear in alpha, so each overlap exponent is
-    alpha^2 times a constant of the unit-amplitude branches.  The mixing
-    weights are the branch overlaps with the input at the physical loss
-    `loss`; the mixed populations are those of the branches at `loss_out`
-    (1 - loss_out may exceed 1, the formal over-correction used in
-    fitting).  With `renormalize` each branch is divided by its sum over
-    the n_max levels, as the state truncated at dim = n_max is; otherwise
-    the populations are the exact closed form.  Rows whose herald is empty
-    under the `EmptyBranchError` rule of `distilled_state` are NaN.
-
-    Returns (populations of shape (K, n_max), herald probability (K,)).
+    The weights use the branches at the physical (total) loss, the mixed
+    states those at the residual production loss when `corrected`.
     """
-    a2 = np.asarray(alpha_sq, dtype=float).reshape(-1)
-    if not np.all(a2 >= 0.0):
-        raise ValueError("alpha_sq must be nonnegative")
-    up = branch_amplitudes(params, True, 1.0)
-    down = branch_amplitudes(params, False, 1.0)
-    r_up, r_down = up.r, down.r
-    lu, ld = up.loss_vector(), down.loss_vector()
-    n_up, n_down = abs(r_up) ** 2, abs(r_down) ** 2
-    # exponents of <l_down|l_up> and <r_down|r_up> per unit alpha^2
-    c_loss = np.sum(ld.conj() * lu) - 0.5 * np.sum(np.abs(lu) ** 2 + np.abs(ld) ** 2)
-    c_refl = np.conj(r_down) * r_up - 0.5 * (n_up + n_down)
-
-    # P_odd and 1 - lambda are differences of nearly equal terms at small
-    # alpha^2; expm1 keeps them to rounding there
-    herald = a2 * (c_refl + c_loss)
-    p_odd = -np.expm1(herald).real / 2.0
-    p_even = (1.0 + np.exp(herald).real) / 2.0
-    p_herald = (1.0 - epsilon) * p_odd + epsilon * (1.0 - p_odd)
-    empty = p_odd < BRANCH_PROB_FLOOR
-    if epsilon > 0.0:
-        empty |= p_even < BRANCH_PROB_FLOOR
-
-    # 4 P_parity <alpha|rho_parity|alpha> at the physical loss
-    nu = math.sqrt(1.0 - loss)
-    e_up = -(1.0 + nu * nu * n_up) / 2.0 + nu * r_up
-    e_down = -(1.0 + nu * nu * n_down) / 2.0 + nu * r_down
-    o_up, o_down = np.exp(a2 * e_up), np.exp(a2 * e_down)
-    w_odd, w_even = _parity_split(o_up, o_down, -np.expm1(a2 * (c_loss + loss * c_refl)))
-
-    # 4 P_parity n!/T^n p_n at loss_out from the lossy branch amplitudes
-    # u_n = exp(-T x/2) (alpha r)^n of each atomic state, x = alpha^2 |r|^2
-    T = 1.0 - loss_out
-    n = np.arange(n_max)
-    alpha = np.sqrt(a2)[:, None]
-    x_up, x_down = (a2 * n_up)[:, None], (a2 * n_down)[:, None]
-    u_up = np.exp(-T * x_up / 2.0) * (alpha * r_up) ** n
-    u_down = np.exp(-T * x_down / 2.0) * (alpha * r_down) ** n
-    odd_n, even_n = _parity_split(
-        u_up, u_down, -np.expm1(a2 * (c_loss + loss_out * c_refl))[:, None]
-    )
-    scale = T**n / np.exp(gammaln(n + 1))
-
+    branches = _general_branches(rho_in, config.params)
+    probs = np.trace(branches, axis1=1, axis2=2).real
     with np.errstate(divide="ignore", invalid="ignore"):
-        w_odd = (1.0 - epsilon) * w_odd / (4.0 * p_odd)
-        pops = _branch_populations(scale * odd_n, p_odd, renormalize)
-        if epsilon > 0.0:
-            w_even = epsilon * w_even / (4.0 * p_even)
-            even = _branch_populations(scale * even_n, p_even, renormalize)
-            total = w_odd + w_even
-            pops = (w_odd[:, None] * pops + w_even[:, None] * even) / total[:, None]
-        else:
-            total = w_odd
-        empty |= total < BRANCH_PROB_FLOOR
-    pops[empty] = np.nan
+        states = branches / probs[:, None, None]
 
-    if renormalize:
-        nbar = T * np.max(a2, initial=0.0) * max(n_up, n_down)
-        if nbar > n_max / 4:
-            warnings.warn(
-                f"largest branch mean photon number {nbar:.3g} exceeds "
-                f"dim/4 = {n_max / 4:.3g}; truncation may be inadequate",
-                stacklevel=3,
-            )
-    return pops, p_herald
+    def lossy(loss):
+        return np.array([fockspace._loss_map(state, 1.0 - loss) for state in states])
 
-
-def _parity_split(up, down, one_minus_lam):
-    """|u|^2 + |d|^2 -/+ 2 Re(lam u d*) for the odd and even parity.
-
-    Written as |u - d|^2 + m and |u + d|^2 - m with m = 2 Re((1-lam) u d*):
-    when u ~ d and lam ~ 1 the odd value is small, and this form keeps it
-    to rounding relative to itself, given 1 - lam computed without
-    cancellation.
-    """
-    mix = 2.0 * np.real(one_minus_lam * up * np.conj(down))
-    return np.abs(up - down) ** 2 + mix, np.abs(up + down) ** 2 - mix
-
-
-def _branch_populations(unnormalized: np.ndarray, prob: np.ndarray, renormalize: bool):
-    """Normalize 4 P_parity p_n rows to the truncated trace or to P_parity."""
-    if renormalize:
-        return unnormalized / unnormalized.sum(axis=1, keepdims=True)
-    return unnormalized / (4.0 * prob[:, None])
+    physical = lossy(config.total_loss)
+    overlaps = np.einsum("ij,pji->p", rho_in.elements, physical).real
+    loss_out = config.uncorrected_loss if corrected else config.total_loss
+    if loss_out != config.total_loss:
+        physical = lossy(loss_out)
+    rho, p_herald, empty = _error_mix(parity, config.detection_error, probs, overlaps, physical)
+    if empty:
+        raise EmptyBranchError("herald probability vanishes; mixed state undefined")
+    return DensityMatrix(rho_in.dim, rho), float(p_herald)
 
 
 def distilled_populations(
@@ -486,14 +425,17 @@ def distilled_populations(
     Row k of the first array holds the dim populations of
     distilled_state(config, sqrt(alpha_sq[k]), dim=dim, corrected=corrected)
     and entry k of the second the herald probability it returns, from one
-    closed-form evaluation.  Populations are NaN where the herald is empty.  Warns once per call when the largest
-    branch mean photon number on the grid exceeds dim/4.
+    closed-form evaluation.  Populations are NaN where the herald is empty.
+    Warns once per call when the largest branch mean photon number on the
+    grid exceeds dim/4.
     """
     loss_out = config.uncorrected_loss if corrected else config.total_loss
-    return _odd_herald_populations(
-        config.params, alpha_sq, config.total_loss, loss_out,
-        config.detection_error, dim, renormalize=True,
+    branches = _coherent_branches(
+        config.params, alpha_sq, config.total_loss, loss_out, dim, renormalize=True
     )
+    pops, p_up, empty = _error_mix(ODD, config.detection_error, *branches)
+    pops[empty] = np.nan
+    return pops, p_up
 
 
 def model_populations(
@@ -514,8 +456,8 @@ def model_populations(
     empty.  Used as the cheap forward model for imperfection fitting.
     """
     loss_out = loss if corrected_loss is None else 1.0 - (1.0 - loss) / (1.0 - corrected_loss)
-    pops, _ = _odd_herald_populations(params, alpha_sq, loss, loss_out, epsilon, n_max)
-    empty = np.isnan(pops).any(axis=1)
+    branches = _coherent_branches(params, alpha_sq, loss, loss_out, n_max)
+    pops, _, empty = _error_mix(ODD, epsilon, *branches)
     if np.any(empty):
         at = np.asarray(alpha_sq, dtype=float).reshape(-1)[empty][0]
         raise EmptyBranchError(f"herald probability vanishes at alpha^2 = {at:g}")

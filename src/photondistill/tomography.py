@@ -31,7 +31,7 @@ logger = logging.getLogger(__name__)
 X_RANGE = (-6.0, 6.0)
 N_EDGES = 801  # POVM bin edges across X_RANGE
 SAMPLING_GRID = 4001  # finer grid for inverse-CDF sampling
-CSV_BLOCK = 8192  # samples formatted per write
+CSV_BLOCK = 8192  # CSV rows formatted per % pass
 
 # inverse-loss amplification beyond this is treated as numerically hopeless
 CONDITION_LIMIT = 1e12

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from photondistill.cli import main
+from photondistill.cli import CSV_BLOCK, RunWriter, main
 
 
 def run(tmp_path, *argv):
@@ -23,6 +23,16 @@ def read_csv_rows(path):
 
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def per_cell_csv(fieldnames, rows):
+    """Reference: the CSV written cell by cell, floats as %.12g, the rest by str()."""
+    def cell(value):
+        return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+    lines = [",".join(fieldnames)]
+    lines += [",".join(cell(row[key]) for key in fieldnames) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 class TestParams:
@@ -153,6 +163,46 @@ class TestG2:
     def test_requires_mode(self, tmp_path):
         code, _ = run(tmp_path, "g2")
         assert code == 3
+
+
+class TestCsvFormat:
+    def test_command_csvs_match_per_cell_format(self, tmp_path, monkeypatch):
+        written = {}
+        write_csv = RunWriter.write_csv
+
+        def capture(self, name, fieldnames, rows):
+            path = write_csv(self, name, fieldnames, rows)
+            written[name] = per_cell_csv(fieldnames, rows), path
+            return path
+
+        monkeypatch.setattr(RunWriter, "write_csv", capture)
+        commands = [
+            ("sweep", "--grid", "0.0:2.5:40", "--dim", "12"),
+            ("g2", "--config", "reference-g2", "--grid", "0.0:2.5:9", "--dim", "12"),
+            ("g2", "--config", "reference-g2", "--alpha-sq", "0.11", "--trials", "20000",
+             "--dim", "12"),
+            ("wigner", "--alpha-sq", "0.31", "--grid=-3:3:101", "--dim", "12"),
+        ]
+        for i, argv in enumerate(commands):
+            code, _ = run(tmp_path / str(i), *argv)
+            assert code == 0
+        assert set(written) == {"sweep.csv", "g2_curve.csv", "g2_tau.csv", "wigner.csv"}
+        for expected, path in written.values():
+            assert path.read_bytes() == expected
+
+    def test_special_values_across_block_boundaries(self, tmp_path):
+        rng = np.random.default_rng(3)
+        specials = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2e-308,
+                    1e300, 123456789012345.0, 0.1]
+        randoms = rng.standard_normal(CSV_BLOCK) * 10.0 ** rng.integers(-30, 30, CSV_BLOCK)
+        rows = [
+            {"x": x, "n": i, "mixed": None if i % 7 == 0 else x, "np": np.float64(x)}
+            for i, x in enumerate(specials + randoms.tolist())
+        ]
+        fields = ["x", "n", "mixed", "np"]
+        writer = RunWriter(str(tmp_path))
+        assert writer.write_csv("rows.csv", fields, rows).read_bytes() == per_cell_csv(fields, rows)
+        assert writer.write_csv("empty.csv", fields, []).read_bytes() == b"x,n,mixed,np\n"
 
 
 class TestTomography:

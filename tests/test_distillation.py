@@ -1,13 +1,13 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from photondistill.cavity import CavityParams
+from photondistill.cavity import CavityParams, branch_amplitudes
 from photondistill.distillation import (
     DistillationConfig,
-    detection_error_mix,
     distill_coherent,
     distill_general,
     distilled_populations,
@@ -24,6 +24,7 @@ from photondistill.distillation import (
 from photondistill.errors import EmptyBranchError
 from photondistill.fockspace import DensityMatrix, coherent_state, fock_state
 from photondistill.cavity import xi
+from photondistill.presets import PRESETS
 
 REFERENCE_PARAMS = CavityParams(g=7.8, kappa=2.5, kappa_r=2.3, kappa_t=0.2, kappa_m=0.0, gamma=3.0)
 REFERENCE_FIT = DistillationConfig(
@@ -44,6 +45,34 @@ def odd_projected_coherent(alpha, dim):
     v[::2] = 0.0
     rho = np.outer(v, v.conj())
     return DensityMatrix(dim, rho / np.trace(rho))
+
+
+def outer_product_branches(params, alpha, loss, dim):
+    """Reference: both heralded branches as sums of coherent-state outer products.
+
+    Returns (P, rho, w) for the odd and then the even herald, at intensity
+    loss `loss`: rho = |vu><vu| + |vd><vd| -/+ (lam |vu><vd| + h.c.)
+    normalized by its trace, P its probability and w = <alpha|rho|alpha>
+    of the untruncated state, all from scalar overlaps of the branches.
+    """
+    up = branch_amplitudes(params, True, alpha)
+    down = branch_amplitudes(params, False, alpha)
+    lu, ld = up.loss_vector(), down.loss_vector()
+    loss_overlap = np.exp(np.sum(ld.conj() * lu) - 0.5 * np.sum(np.abs(lu) ** 2 + np.abs(ld) ** 2))
+    refl_cross = np.conj(down.r) * up.r - 0.5 * (abs(up.r) ** 2 + abs(down.r) ** 2)
+    lam = loss_overlap * np.exp(loss * refl_cross)
+    nu = math.sqrt(1.0 - loss)
+    vu = coherent_state(nu * up.r, dim).amplitudes
+    vd = coherent_state(nu * down.r, dim).amplitudes
+    ou, od = (np.exp(-(alpha**2 + abs(nu * r) ** 2) / 2.0 + alpha * nu * r) for r in (up.r, down.r))
+    branches = []
+    for sign in (-1, 1):
+        prob = (1.0 + sign * (np.exp(refl_cross) * loss_overlap).real) / 2.0
+        cross = sign * lam * np.outer(vu, vd.conj())
+        rho = np.outer(vu, vu.conj()) + np.outer(vd, vd.conj()) + cross + cross.conj().T
+        w = abs(ou) ** 2 + abs(od) ** 2 + sign * 2.0 * np.real(lam * ou * np.conj(od))
+        branches.append((prob, rho / np.trace(rho).real, w / (4.0 * prob)))
+    return branches
 
 
 class TestDistillCoherent:
@@ -112,28 +141,30 @@ class TestHeraldProbability:
 
 
 class TestDetectionErrorMix:
-    def setup_method(self):
-        self.out = herald_output(REFERENCE_FIT, math.sqrt(0.31), dim=16)
+    """distilled_state admixes the wrong-parity branch of a misread atom."""
+
+    ALPHA = math.sqrt(0.31)
+
+    def mixed(self, eps):
+        config = dataclasses.replace(REFERENCE_FIT, detection_error=eps)
+        return distilled_state(config, self.ALPHA, dim=16)[0]
 
     def test_eps_zero_returns_odd(self):
-        mixed = detection_error_mix(self.out.rho_odd, self.out.rho_even, math.sqrt(0.31), 0.0)
-        np.testing.assert_allclose(mixed.elements, self.out.rho_odd.elements, atol=1e-14)
+        odd = distill_coherent(REFERENCE_FIT, self.ALPHA, "odd", dim=16)
+        np.testing.assert_allclose(self.mixed(0.0).elements, odd.elements, atol=1e-14)
 
     def test_eps_one_returns_even(self):
-        mixed = detection_error_mix(self.out.rho_odd, self.out.rho_even, math.sqrt(0.31), 1.0)
-        np.testing.assert_allclose(mixed.elements, self.out.rho_even.elements, atol=1e-14)
+        even = distill_coherent(REFERENCE_FIT, self.ALPHA, "even", dim=16)
+        np.testing.assert_allclose(self.mixed(1.0).elements, even.elements, atol=1e-14)
 
     def test_weights_follow_overlap_rule(self):
-        alpha = math.sqrt(0.31)
         eps = 0.013
-        mixed = detection_error_mix(self.out.rho_odd, self.out.rho_even, alpha, eps)
-        v = coherent_state(alpha, 16).amplitudes
-        w_odd = (1 - eps) * float(np.real(v.conj() @ self.out.rho_odd.elements @ v))
-        w_even = eps * float(np.real(v.conj() @ self.out.rho_even.elements @ v))
-        ref = (w_odd * self.out.rho_odd.elements + w_even * self.out.rho_even.elements) / (
-            w_odd + w_even
-        )
-        np.testing.assert_allclose(mixed.elements, ref, atol=1e-14)
+        out = herald_output(REFERENCE_FIT, self.ALPHA, dim=16)
+        v = coherent_state(self.ALPHA, 16).amplitudes
+        w_odd = (1 - eps) * float(np.real(v.conj() @ out.rho_odd.elements @ v))
+        w_even = eps * float(np.real(v.conj() @ out.rho_even.elements @ v))
+        ref = (w_odd * out.rho_odd.elements + w_even * out.rho_even.elements) / (w_odd + w_even)
+        np.testing.assert_allclose(self.mixed(eps).elements, ref, atol=1e-14)
 
 
 class TestHeraldedOutput:
@@ -325,9 +356,7 @@ def per_point_rows(config, grid, dim, corrected):
 
 
 class TestClosedFormCore:
-    # distilled_state's branch matrix loses digits like 1e-16/alpha^2 (about
-    # 1e-12 at alpha^2 = 1e-3), so the per-point reference starts at 0.01
-    GRID = np.array([0.0, 0.01, 0.05, 0.31, 0.9, 1.7, 2.5])
+    GRID = np.array([0.0, 1e-6, 1e-3, 0.01, 0.05, 0.31, 0.9, 1.7, 2.5])
 
     @pytest.mark.parametrize("dim", [4, 12, 20])
     @pytest.mark.parametrize("corrected", [True, False])
@@ -370,6 +399,8 @@ class TestClosedFormCore:
         for row, exact, alpha_sq in zip(pops, closed, grid):
             oracle = odd_projected_coherent(math.sqrt(alpha_sq), 20).populations()
             np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-12)
+            rho, _ = distilled_state(config, math.sqrt(alpha_sq), dim=20)
+            np.testing.assert_allclose(rho.populations(), oracle, rtol=0, atol=1e-12)
             # not renormalized: also needs P_odd to full precision
             np.testing.assert_allclose(exact, oracle, rtol=0, atol=1e-12)
 
@@ -416,3 +447,83 @@ class TestClosedFormCore:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sweep_rows(REFERENCE_FIT, grid[:3], dim=12)
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_small_pulse_states_equal_closed_form_populations(self, corrected):
+        grid = np.array([1e-9, 1e-6, 1e-3])
+        pops, p_up = distilled_populations(REFERENCE_FIT, grid, dim=20, corrected=corrected)
+        for row, p, alpha_sq in zip(pops, p_up, grid):
+            rho, p_herald = distilled_state(REFERENCE_FIT, math.sqrt(alpha_sq), dim=20,
+                                            corrected=corrected)
+            np.testing.assert_allclose(rho.populations(), row, rtol=0, atol=1e-15)
+            assert abs(p_herald - p) < 1e-15
+
+
+class TestOuterProductReference:
+    """The closed form against the outer-product construction it replaced."""
+
+    GRID = (0.01, 0.11, 0.31, 1.0, 2.5)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("eps", [0.0, 0.013, 0.2])
+    def test_matrix_paths_match_reference(self, preset, corrected, eps):
+        config = dataclasses.replace(PRESETS[preset], detection_error=eps)
+        loss_out = config.uncorrected_loss if corrected else config.total_loss
+        for alpha_sq in self.GRID:
+            alpha = math.sqrt(alpha_sq)
+            states = outer_product_branches(config.params, alpha, loss_out, 20)
+            weights = [w for _, _, w in outer_product_branches(config.params, alpha,
+                                                               config.total_loss, 20)]
+            out = herald_output(config, alpha, dim=20, corrected=corrected)
+            assert abs(out.p_up - states[0][0]) < 1e-12
+            assert abs(out.p_down - states[1][0]) < 1e-12
+            for index, parity in enumerate(("odd", "even")):
+                prob, rho, _ = states[index]
+                coherent = distill_coherent(config, alpha, parity, dim=20, corrected=corrected)
+                branch = (out.rho_odd, out.rho_even)[index]
+                w_match = (1.0 - eps) * weights[index]
+                w_wrong = eps * weights[1 - index]
+                mixed = (w_match * rho + w_wrong * states[1 - index][1]) / (w_match + w_wrong)
+                got, p_herald = distilled_state(config, alpha, parity, dim=20,
+                                                corrected=corrected)
+                for value, ref in ((coherent, rho), (branch, rho), (got, mixed)):
+                    np.testing.assert_allclose(value.elements, ref, rtol=0, atol=1e-12)
+                assert abs(p_herald - ((1.0 - eps) * prob + eps * (1.0 - prob))) < 1e-12
+
+
+class TestMatrixPathContract:
+    def test_empty_herald_raises_without_numpy_warnings(self):
+        vacuum = fock_state(0, 8).density_matrix()
+        calls = (
+            lambda: distilled_state(REFERENCE_FIT, 0.0, dim=8),
+            lambda: distilled_state(REFERENCE_FIT, 0.0, "even", dim=8),
+            lambda: distill_coherent(REFERENCE_FIT, 0.0, "odd", dim=8),
+            lambda: herald_output(REFERENCE_FIT, 0.0, dim=8),
+            lambda: distill_general(vacuum, REFERENCE_FIT, "odd"),
+            lambda: distilled_state_general(vacuum, REFERENCE_FIT, "odd"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(EmptyBranchError):
+                    call()
+            # without detection errors the even herald of vacuum is vacuum
+            config = dataclasses.replace(REFERENCE_FIT, detection_error=0.0)
+            rho, p = distilled_state(config, 0.0, "even", dim=8)
+            assert p == 1.0 and rho.populations()[0] == 1.0
+            rho, p = distilled_state_general(vacuum, config, "even")
+            assert p == 1.0 and abs(rho.populations()[0] - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("build", [distilled_state, herald_output])
+    def test_one_truncation_warning_above_dim_over_4(self, build):
+        # largest branch mean photon number (1 - loss) alpha^2 max|r|^2 against dim/4 = 2
+        largest = max(abs(branch_amplitudes(REFERENCE_FIT.params, up).r) ** 2
+                      for up in (True, False))
+        threshold = 2.0 / ((1.0 - REFERENCE_FIT.total_loss) * largest)
+        for alpha_sq, expected in ((0.95 * threshold, 0), (1.05 * threshold, 1)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                build(REFERENCE_FIT, math.sqrt(alpha_sq), dim=8)
+            assert len(caught) == expected
+            assert all("dim/4" in str(w.message) for w in caught)

@@ -3,23 +3,34 @@
 Draws rate sets (the kappa split, gamma, detunings), alpha^2 grids in
 [0, 3] and physical losses in [0, 1], and checks invariants that hold by
 construction: nonnegative populations that never sum above one, parity
-purity in the ideal limit, and the once-per-call truncation warning.
+purity in the ideal limit, the once-per-call truncation warning, density
+matrices from the matrix path whose diagonal is the population path, and
+the Kraus map equal to the closed form on coherent inputs.
 The HBT click distribution is drawn over random photon-number
 distributions, detector efficiencies and dark-click probabilities.
 """
 
+import math
 import warnings
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from photondistill.cavity import CavityParams, branch_amplitudes
 from photondistill.distillation import (
+    ODD,
     DistillationConfig,
-    _odd_herald_populations,
+    _coherent_branches,
+    _error_mix,
+    distill_coherent,
+    distill_general,
     distilled_populations,
+    distilled_state,
+    parity_probabilities,
 )
+from photondistill.errors import EmptyBranchError
+from photondistill.fockspace import coherent_state
 from photondistill.photonstats import _click_outcomes
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -40,16 +51,27 @@ def cavities(draw):
     )
 
 
+def odd_herald_populations(params, grid, loss, loss_out, eps, dim):
+    """Error-mixed odd-herald populations of the closed-form core, NaN where empty."""
+    pops, p_herald, empty = _error_mix(ODD, eps, *_coherent_branches(params, grid, loss, loss_out,
+                                                                      dim))
+    pops[empty] = np.nan
+    return pops, p_herald
+
+
 alpha_sq_grids = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12).map(np.array)
 
 
 @SETTINGS
 @given(cavities(), alpha_sq_grids, unit, unit, st.floats(0.0, 0.5),
        st.integers(2, 24))
+# no coupling: equal branches, whose overlap exponent must be exactly 0
+@example(CavityParams.from_decays(g=0.0, kappa_r=1.0, kappa_t=0.0, kappa_m=0.0, gamma=1.0,
+                                  delta_c=1.5), np.array([1.0]), 0.0, 0.0, 0.0, 2)
 def test_populations_nonnegative_and_subnormalized(params, grid, loss, residual, eps, dim):
     # the mixed branches at any transmission up to the physical one
     loss_out = loss * residual
-    pops, p_herald = _odd_herald_populations(params, grid, loss, loss_out, eps, dim)
+    pops, p_herald = odd_herald_populations(params, grid, loss, loss_out, eps, dim)
     assert pops.shape == (len(grid), dim)
     assert np.all((p_herald >= 0.0) & (p_herald <= 1.0))
     finite = pops[~np.isnan(pops).any(axis=1)]
@@ -66,7 +88,7 @@ def test_odd_herald_is_parity_pure_in_ideal_limit(kappa_r, gamma, delta_a, grid,
     # empty-cavity branch reflects with -1 and the coupled one with +1
     params = CavityParams.from_decays(g=1e7, kappa_r=kappa_r, kappa_t=0.0, kappa_m=0.0,
                                       gamma=gamma, delta_a=delta_a)
-    pops, _ = _odd_herald_populations(params, grid, 0.0, 0.0, 0.0, dim)
+    pops, _ = odd_herald_populations(params, grid, 0.0, 0.0, 0.0, dim)
     empty = np.isnan(pops).any(axis=1)  # below the herald floor, alpha^2 = 0 included
     assert np.all(empty[grid == 0.0])
     assert np.all(np.abs(pops[~empty, 0::2]) < 1e-12)
@@ -88,6 +110,49 @@ def test_truncation_warning_fires_once_exactly_above_dim_over_4(
         warnings.simplefilter("always")
         distilled_populations(config, grid, dim=dim, corrected=corrected)
     assert len(caught) == (1 if nbar > dim / 4 else 0)
+
+
+@SETTINGS
+@given(cavities(), st.floats(0.0, 3.0), unit, unit, st.floats(0.0, 0.5), st.integers(2, 24),
+       st.booleans())
+def test_distilled_state_is_a_density_matrix_on_the_closed_form_diagonal(
+    params, alpha_sq, uncorrected, downstream, eps, dim, corrected
+):
+    config = DistillationConfig(params=params, detection_error=eps,
+                                uncorrected_loss=uncorrected, downstream_loss=downstream)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # truncation at small dim
+        pops, _ = distilled_populations(config, alpha_sq, dim=dim, corrected=corrected)
+        for parity in ("odd", "even"):
+            try:
+                rho, _ = distilled_state(config, math.sqrt(alpha_sq), parity, dim, corrected)
+            except EmptyBranchError:
+                assert parity != ODD or np.isnan(pops[0]).all()
+                continue
+            rho.validate()
+            if parity == ODD:
+                np.testing.assert_allclose(rho.populations(), pops[0], rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(cavities(), st.floats(0.01, 2.0), unit, unit, st.booleans(),
+       st.sampled_from(["odd", "even"]))
+def test_kraus_map_equals_closed_form_on_coherent_inputs(
+    params, alpha_sq, uncorrected, downstream, corrected, parity
+):
+    config = DistillationConfig(params=params, uncorrected_loss=uncorrected,
+                                downstream_loss=downstream)
+    alpha = math.sqrt(alpha_sq)
+    p_odd, p_even = parity_probabilities(config, alpha)
+    # the Kraus map forms the odd branch as a difference of O(1) terms, so it
+    # keeps only ~1e-16/P_odd of it; the closed form has no such cancellation
+    assume(min(p_odd, p_even) > 1e-4)
+    dim = 24  # input tail beyond 24 photons < 1e-17 at alpha^2 <= 2
+    general, prob = distill_general(coherent_state(alpha, dim).density_matrix(), config,
+                                    parity, corrected)
+    closed = distill_coherent(config, alpha, parity, dim, corrected)
+    assert np.max(np.abs(general.elements - closed.elements)) < 1e-10
+    assert abs(prob - (p_odd if parity == ODD else p_even)) < 1e-10
 
 
 @SETTINGS
