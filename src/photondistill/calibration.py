@@ -8,7 +8,6 @@ odd-heralded light match observed populations across input intensities.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +15,7 @@ from scipy.optimize import minimize
 
 from .cavity import CavityParams
 from .distillation import model_populations
-from .errors import InconsistentBudgetError
+from .errors import InconsistentBudgetError, _require_columns
 
 FIT_BOUNDS = {
     "loss": (0.0, 0.8),
@@ -45,6 +44,7 @@ class LossBudget:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 return cls(())
+            _require_columns(path, reader.fieldnames, ("label", "loss"))
             return cls(tuple((row["label"], float(row["loss"])) for row in reader))
 
 
@@ -56,18 +56,6 @@ class FitResult:
     residual: float
     converged: bool = True
     restarts: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "loss": self.loss,
-                "epsilon": self.epsilon,
-                "delta_c": self.delta_c,
-                "residual": self.residual,
-                "converged": self.converged,
-            },
-            indent=2,
-        )
 
 
 def combine_losses(budget: LossBudget) -> float:
@@ -106,12 +94,11 @@ def _as_observation_array(observations) -> np.ndarray:
 
 
 def read_observations_csv(path) -> np.ndarray:
+    columns = ("alpha_sq", "p0", "p1", "p2")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = [
-            (float(r["alpha_sq"]), float(r["p0"]), float(r["p1"]), float(r["p2"]))
-            for r in reader
-        ]
+        _require_columns(path, reader.fieldnames, columns)
+        rows = [tuple(float(r[name]) for name in columns) for r in reader]
     return _as_observation_array(rows)
 
 

@@ -142,19 +142,19 @@ def _alpha_sq_grid(text: str) -> np.ndarray:
     return grid
 
 
-def _real(name: str, low: float, high: float = math.inf, strict: bool = False):
-    """Parser of a finite number in [low, high], or in (low, high] if strict."""
-    bounds = f"> {low:g}" if strict else f">= {low:g}"
+def _real(name: str, low: float, high: float = math.inf, open_low=False, open_high=False):
+    """Parser of a finite number from low to high, each end included unless open."""
+    bounds = f"{'>' if open_low else '>='} {low:g}"
     if high != math.inf:
-        bounds += f" and <= {high:g}"
+        bounds += f" and {'<' if open_high else '<='} {high:g}"
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}") from exc
-        if not (math.isfinite(value) and (value > low if strict else value >= low)
-                and value <= high):
+        if not (math.isfinite(value) and (value > low if open_low else value >= low)
+                and (value < high if open_high else value <= high)):
             raise argparse.ArgumentTypeError(f"{name} must be finite and {bounds}, got {text!r}")
         return value
 
@@ -175,10 +175,15 @@ def _int_at_least(name: str, minimum: int):
 
 
 _alpha_sq = _real("alpha^2", 0.0)
+_efficiency = _real("efficiency", 0.0, 1.0, open_low=True)
 
 
-def _g2_conflict(args) -> str | None:
-    """Usage error between `g2` arguments, naming the argument, or None."""
+def _conflict(args) -> str | None:
+    """Usage error between arguments, naming the argument, or None."""
+    if args.command == "tomography" and args.mode == "simulate" and args.samples < args.phases:
+        return f"argument --samples: must be >= --phases ({args.phases}), got {args.samples}"
+    if args.command != "g2":
+        return None
     if args.offsets >= args.trials:
         return (f"argument --offsets: must be < --trials ({args.trials}), "
                 f"got {args.offsets}")
@@ -238,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dark-rate", type=_real("dark rate", 0.0),
                    default=HBT_DEFAULTS["dark_count_rate"],
                    help="dark counts per second; rate x 3 pulse widths must be <= 1")
-    p.add_argument("--pulse-fwhm", type=_real("pulse FWHM", 0.0, strict=True),
+    p.add_argument("--pulse-fwhm", type=_real("pulse FWHM", 0.0, open_low=True),
                    default=HBT_DEFAULTS["pulse_fwhm"], help="seconds")
     p.add_argument("--pulse-kind", default="gaussian",
                    choices=["gaussian", "double_peak", "rectangular"])
@@ -249,27 +254,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sim)
     sim.add_argument("--state", default="distilled", choices=["distilled", "coherent"])
     sim.add_argument("--alpha-sq", type=_alpha_sq, default=0.31)
-    sim.add_argument("--phases", type=int, default=12)
-    sim.add_argument("--samples", type=int, default=120_000, help="total sample count")
-    sim.add_argument("--efficiency", type=float, default=1.0)
+    sim.add_argument("--phases", type=_int_at_least("phases", 1), default=12)
+    sim.add_argument("--samples", type=_int_at_least("samples", 1), default=120_000,
+                     help="total sample count, >= --phases")
+    sim.add_argument("--efficiency", type=_efficiency, default=1.0)
     sim.add_argument("--uncorrected", dest="corrected", action="store_false", default=True)
     rec = tomo_sub.add_parser("reconstruct", help="maximum-likelihood estimate from samples")
     _add_common(rec)
     rec.add_argument("--samples", required=True, help="CSV with theta,x columns")
-    rec.add_argument("--efficiency", type=float, default=1.0)
-    rec.add_argument("--max-iter", type=int, default=1000)
-    rec.add_argument("--tol", type=float, default=1e-9)
+    rec.add_argument("--efficiency", type=_efficiency, default=1.0)
+    rec.add_argument("--max-iter", type=_int_at_least("max-iter", 1), default=1000)
+    rec.add_argument("--tol", type=_real("tol", 0.0, open_low=True), default=1e-9)
 
     p = sub.add_parser("fit", help="fit loss, detection error and detuning to populations")
     _add_common(p)
     p.add_argument("--observations", required=True, help="CSV with alpha_sq,p0,p1,p2")
-    p.add_argument("--corrected-loss", type=float, default=0.251)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--corrected-loss", type=_real("corrected loss", 0.0, 1.0, open_high=True),
+                   default=0.251)
+    p.add_argument("--restarts", type=_int_at_least("restarts", 1), default=8)
 
     p = sub.add_parser("budget", help="combine a loss budget")
     _add_common(p)
     p.add_argument("--file", default=None, help="CSV with label,loss (default: bundled budget)")
-    p.add_argument("--l-fit", type=float, default=None,
+    p.add_argument("--l-fit", type=_real("l-fit", 0.0, 1.0), default=None,
                    help="also report the residual loss after correcting the budget total")
 
     return parser
@@ -394,7 +401,7 @@ def cmd_tomography(args, writer: RunWriter) -> int:
         else:
             rho = coherent_state(math.sqrt(args.alpha_sq), args.dim).density_matrix()
         phases = [k * math.pi / args.phases for k in range(args.phases)]
-        per_phase = max(args.samples // args.phases, 1)
+        per_phase = args.samples // args.phases
         samples = sample_homodyne(rho, phases, per_phase,
                                   efficiency=args.efficiency, seed=args.seed)
         path = writer.out_dir / "samples.csv"
@@ -462,7 +469,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    conflict = _g2_conflict(args) if args.command == "g2" else None
+    conflict = _conflict(args)
     if conflict is not None:
         parser.error(conflict)
     writer = RunWriter(args.out)

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .cavity import CavityParams, branch_amplitudes
 from .errors import EmptyBranchError
@@ -97,19 +96,17 @@ def _alpha_sq(alpha) -> float:
 def _unit_branches(params: CavityParams):
     """Constants of the two atomic branches at unit input amplitude.
 
-    Returns r_up, r_down, the per-lost-photon overlap chi = <l_down|l_up>
-    of the three traced-out loss modes, and the exponents of <l_down|l_up>
-    and <r_down|r_up> per unit alpha^2.  The real part of an exponent
-    <d|u> - (|u|^2 + |d|^2)/2 is written -|u - d|^2/2, which is never
-    positive and vanishes for equal branches (no coupling).
+    Returns r_up, r_down and the exponents of <l_down|l_up> (the three
+    traced-out loss modes) and <r_down|r_up> per unit alpha^2.  The real
+    part of an exponent <d|u> - (|u|^2 + |d|^2)/2 is written -|u - d|^2/2,
+    which is never positive and vanishes for equal branches (no coupling).
     """
     up = branch_amplitudes(params, True, 1.0)
     down = branch_amplitudes(params, False, 1.0)
     lu, ld = up.loss_vector(), down.loss_vector()
-    chi = np.sum(ld.conj() * lu)
-    c_loss = complex(-0.5 * np.sum(np.abs(lu - ld) ** 2), chi.imag)
+    c_loss = complex(-0.5 * np.sum(np.abs(lu - ld) ** 2), np.sum(ld.conj() * lu).imag)
     c_refl = complex(-0.5 * abs(up.r - down.r) ** 2, (np.conj(down.r) * up.r).imag)
-    return up.r, down.r, chi, c_loss, c_refl
+    return up.r, down.r, c_loss, c_refl
 
 
 def _coherent_branches(
@@ -138,7 +135,7 @@ def _coherent_branches(
     a2 = np.asarray(alpha_sq, dtype=float).reshape(-1)
     if not np.all(a2 >= 0.0):
         raise ValueError("alpha_sq must be nonnegative")
-    r_up, r_down, _, c_loss, c_refl = _unit_branches(params)
+    r_up, r_down, c_loss, c_refl = _unit_branches(params)
     n_up, n_down = abs(r_up) ** 2, abs(r_down) ** 2
     T = 1.0 - loss_out
     if renormalize:
@@ -165,11 +162,9 @@ def _coherent_branches(
 
     # 4 P_parity rho_parity from the Fock amplitudes exp(-T x/2) (sqrt(T)
     # alpha r)^n / sqrt(n!) of each lossy branch, x = alpha^2 |r|^2
-    n = np.arange(n_max)
-    root_fact = np.exp(0.5 * gammaln(n + 1))
-    beta = math.sqrt(T) * np.sqrt(a2)[:, None]
-    u_up = np.exp(-T * (a2 * n_up)[:, None] / 2.0) * (beta * r_up) ** n / root_fact
-    u_down = np.exp(-T * (a2 * n_down)[:, None] / 2.0) * (beta * r_down) ** n / root_fact
+    decay = np.exp(-T * np.multiply.outer([n_up, n_down], a2) / 2.0)
+    u_up, u_down = decay[..., None] * fockspace._coherent_amplitudes(
+        np.multiply.outer([r_up, r_down], math.sqrt(T) * np.sqrt(a2)), n_max)
     one_minus_lam = -np.expm1(a2 * (c_loss + loss_out * c_refl))[:, None]
     if outer:
         one_minus_lam = one_minus_lam[:, :, None]
@@ -296,34 +291,28 @@ def herald_output(
 
 
 def _general_branches(rho_in: DensityMatrix, params: CavityParams) -> np.ndarray:
-    """Unnormalized odd and even outputs of the generalized Fock-basis map, before loss."""
-    dim = rho_in.dim
-    tau_u, tau_d, chi, _, _ = _unit_branches(params)
-    mu2_u = max(1.0 - abs(tau_u) ** 2, 0.0)
-    mu2_d = max(1.0 - abs(tau_d) ** 2, 0.0)
+    """Unnormalized odd and even outputs of the generalized Fock-basis map, before loss.
 
-    n = np.arange(dim)
-    rho = rho_in.elements
-    same = np.zeros((dim, dim), dtype=complex)
-    cross = np.zeros((dim, dim), dtype=complex)
-    pow_u = tau_u**n
-    pow_d = tau_d**n
-    for k in range(dim):
-        m = n[: dim - k]
-        log_binom = gammaln(m + k + 1) - gammaln(k + 1) - gammaln(m + 1)
-        root_binom = np.exp(0.5 * log_binom)
-        au = root_binom * pow_u[: dim - k]  # A_k^up acting coefficients
-        ad = root_binom * pow_d[: dim - k]
-        block = rho[k:, k:]
-        same[: dim - k, : dim - k] += (
-            mu2_u**k * (au[:, None] * block * au.conj()[None, :])
-            + mu2_d**k * (ad[:, None] * block * ad.conj()[None, :])
-        )
-        cross[: dim - k, : dim - k] += (
-            chi**k * (au[:, None] * block * ad.conj()[None, :])
-            + np.conj(chi) ** k * (ad[:, None] * block * au.conj()[None, :])
-        )
-    return np.array([same - cross, same + cross]) / 4.0
+    Branch s (up, down) loses k photons through A_k = sum_m sqrt(C(m+k, k))
+    mu_s^k tau_s^m |m><m+k|, so odd/even get sum_k S_k(rho) * (|x><x| + |y><y|
+    -/+ (lam^k |x><y| + h.c.)) / 4, x_m = mu_u^k tau_u^m, y_m = mu_d^k tau_d^m,
+    lam the overlap of the unit loss vectors.  `_parity_split` forms both
+    without cancellation, given 1 - lam^k = (1 - lam) sum_(j<k) lam^j.
+    """
+    dim = rho_in.dim
+    up, down = branch_amplitudes(params, True, 1.0), branch_amplitudes(params, False, 1.0)
+    lu, ld = up.loss_vector(), down.loss_vector()
+    mu_u, mu_d = np.linalg.norm(lu), np.linalg.norm(ld)
+    lam, one_minus_lam = 1.0, 0.0  # a lossless branch has no k >= 1 terms to weigh
+    if mu_u * mu_d > 0.0:
+        lam = np.vdot(ld / mu_d, lu / mu_u)
+        one_minus_lam = complex(0.5 * np.sum(np.abs(lu / mu_u - ld / mu_d) ** 2), -lam.imag)
+    k = np.arange(dim)
+    one_minus_lam_k = one_minus_lam * np.cumsum(np.r_[0.0, lam ** k[:-1]])
+    x = mu_u ** k[:, None] * up.r**k
+    y = mu_d ** k[:, None] * down.r**k
+    coeffs = np.array(_parity_split(x, y, one_minus_lam_k[:, None, None], outer=True))
+    return fockspace._shift_sum(rho_in.elements, coeffs) / 4.0
 
 
 def distill_general(
@@ -343,9 +332,7 @@ def distill_general(
     _require_herald(parity, prob)
     state = DensityMatrix(rho_in.dim, out / prob)
     loss = config.uncorrected_loss if corrected else config.total_loss
-    if loss > 0.0:
-        state = fockspace.pure_loss_channel(state, 1.0 - loss)
-    return state, prob
+    return fockspace.pure_loss_channel(state, 1.0 - loss), prob
 
 
 def single_photon_fidelity(rho: DensityMatrix) -> float:
@@ -399,15 +386,11 @@ def distilled_state_general(
     probs = np.trace(branches, axis1=1, axis2=2).real
     with np.errstate(divide="ignore", invalid="ignore"):
         states = branches / probs[:, None, None]
-
-    def lossy(loss):
-        return np.array([fockspace._loss_map(state, 1.0 - loss) for state in states])
-
-    physical = lossy(config.total_loss)
+    physical = fockspace._loss_map(states, 1.0 - config.total_loss)
     overlaps = np.einsum("ij,pji->p", rho_in.elements, physical).real
     loss_out = config.uncorrected_loss if corrected else config.total_loss
     if loss_out != config.total_loss:
-        physical = lossy(loss_out)
+        physical = fockspace._loss_map(states, 1.0 - loss_out)
     rho, p_herald, empty = _error_mix(parity, config.detection_error, probs, overlaps, physical)
     if empty:
         raise EmptyBranchError("herald probability vanishes; mixed state undefined")

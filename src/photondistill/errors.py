@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the CSV header check shared across the package."""
 
 
 class ModelError(Exception):
@@ -15,3 +15,10 @@ class IllConditionedError(ModelError):
 
 class InconsistentBudgetError(ValueError):
     """Raised when a residual-loss computation would yield a negative loss."""
+
+
+def _require_columns(path, header, names):
+    """Raise ValueError naming the first of `names` missing from a CSV header."""
+    missing = [name for name in names if name not in (header or [])]
+    if missing:
+        raise ValueError(f"{path}: no {missing[0]!r} column in header {header}")

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 DEFAULT_DIM = 20
 
@@ -127,15 +126,7 @@ def coherent_state(alpha: complex, dim: int = DEFAULT_DIM) -> FockVector:
             "truncation may be inadequate",
             stacklevel=2,
         )
-    n = np.arange(dim)
-    if alpha == 0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        return FockVector(dim, amps)
-    # log-domain magnitudes to stay stable for large n
-    log_mag = n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1) - nbar / 2
-    phase = np.exp(1j * n * np.angle(alpha))
-    return FockVector(dim, np.exp(log_mag) * phase)
+    return FockVector(dim, math.exp(-nbar / 2) * _coherent_amplitudes(alpha, dim))
 
 
 def thermal_state(nbar: float, dim: int = DEFAULT_DIM) -> DensityMatrix:
@@ -150,43 +141,64 @@ def thermal_state(nbar: float, dim: int = DEFAULT_DIM) -> DensityMatrix:
     return DensityMatrix(dim, np.diag(p).astype(complex))
 
 
-def _loss_kraus_coeffs(dim: int, transmission: float) -> np.ndarray:
-    """b[n, k] = sqrt(C(n,k) T^(n-k) |1-T|^k), the k-photon-loss amplitudes.
+_BINOMIALS = np.ones((1, 1))  # grown on demand by _binomials
 
-    T > 1 is allowed for the inverse channel; `_loss_map` supplies the sign
-    of (1-T)^k there.
+
+def _binomials(size: int) -> np.ndarray:
+    """Read-only C[n, k] = C(n, k) for 0 <= n, k < size (0 where k > n).
+
+    Pascal's rule adds integers: exact while C(n, k) < 2^53 (n <= 56), correct
+    to rounding beyond.  Serves every Fock-space channel and the beam splitter.
     """
-    T = transmission
-    if T == 1.0:  # identity channel
-        b = np.zeros((dim, dim))
-        b[:, 0] = 1.0
-        return b
-    if T == 0.0:  # everything lost
-        return np.eye(dim)
-    n = np.arange(dim)[:, None]
-    k = np.arange(dim)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    log_binom = np.where(k <= n, log_binom, -np.inf)
-    log_b2 = log_binom + (n - k) * np.log(T) + k * np.log(abs(1.0 - T))
-    return np.exp(0.5 * log_b2)
+    global _BINOMIALS
+    table = _BINOMIALS  # slice the table read here: another thread may swap it
+    if len(table) < size:
+        table = np.zeros((size, size))
+        table[:, 0] = 1.0
+        for n in range(1, size):
+            table[n, 1:] = table[n - 1, :-1] + table[n - 1, 1:]
+        table.flags.writeable = False
+        _BINOMIALS = table
+    return table[:size, :size]
+
+
+def _coherent_amplitudes(z, size: int) -> np.ndarray:
+    """z^n / sqrt(n!) for 0 <= n < size on a new last axis; z broadcasts.
+
+    The package's one sqrt(n!): a running product of z/sqrt(k), which forms
+    neither n! nor z^n, so large n stays finite where the amplitude is.
+    """
+    z = np.asarray(z)[..., None]
+    factors = z / np.sqrt(np.arange(1, size))
+    return np.cumprod(np.concatenate([np.ones_like(z), factors], axis=-1), axis=-1)
+
+
+def _shift_sum(rho: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[..., k, :, :] * S_k(rho), the k-photon sum of Kraus-form channels.
+
+    S_k(rho)[m, n] = sqrt(C(m+k, k) C(n+k, k)) rho[m+k, n+k], zero where
+    m + k or n + k reaches dim.  rho (..., dim, dim) and coeffs
+    (..., K, dim, dim) with K <= dim broadcast over their leading axes.
+    """
+    dim = rho.shape[-1]
+    binom = _binomials(dim)
+    out = np.zeros(np.broadcast_shapes(rho.shape, coeffs[..., 0, :, :].shape), dtype=complex)
+    for k in range(coeffs.shape[-3]):
+        nk, root = dim - k, np.sqrt(binom[k:, k])
+        out[..., :nk, :nk] += coeffs[..., k, :nk, :nk] * np.outer(root, root) * rho[..., k:, k:]
+    return out
 
 
 def _loss_map(el: np.ndarray, transmission: float) -> np.ndarray:
-    """sum_k K_k rho K_k^dag for transmission T on a density matrix array.
+    """sum_k K_k rho K_k^dag for transmission T on density-matrix arrays (..., dim, dim).
 
-    (K_k rho K_k^dag)_{m,n} = (1-T)^k sqrt(C(m+k,k) C(n+k,k)) T^((m+n)/2)
-    rho_{m+k,n+k}.  With T -> 1/T the same kernel inverts the channel.
+    (K_k rho K_k^dag)_{m,n} = (1-T)^k T^((m+n)/2) S_k(rho)[m, n].  With
+    T -> 1/T the same kernel inverts the channel; (1-T)^k then alternates.
     """
-    dim = el.shape[0]
-    b = _loss_kraus_coeffs(dim, transmission)
-    sign = -1.0 if transmission > 1.0 else 1.0
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        nk = dim - k
-        coeff = b[k:, k]
-        out[:nk, :nk] += sign**k * coeff[:, None] * el[k:, k:] * coeff[None, :]
-    return out
+    dim = el.shape[-1]
+    root_t = transmission ** (0.5 * np.arange(dim))
+    return _shift_sum(el, (1.0 - transmission) ** np.arange(dim)[:, None, None]
+                      * np.outer(root_t, root_t))
 
 
 def pure_loss_channel(rho: DensityMatrix, transmission: float) -> DensityMatrix:

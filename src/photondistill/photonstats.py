@@ -21,7 +21,7 @@ import numpy as np
 
 from .cavity import CavityParams
 from .distillation import DistillationConfig, distilled_populations, distilled_state
-from .fockspace import DensityMatrix, number_g2, photon_statistics
+from .fockspace import DensityMatrix, _binomials, number_g2, photon_statistics
 
 GAUSSIAN = "gaussian"
 DOUBLE_PEAK = "double_peak"
@@ -137,11 +137,7 @@ def g2_analytic(rho: DensityMatrix) -> float | None:
 
 def _split_weights(dim: int) -> np.ndarray:
     """w[n, k] = C(n, k) / 2^n: n photons leave k in arm 1 at the 50:50 splitter."""
-    w = np.zeros((dim, dim))
-    w[:, 0] = 0.5 ** np.arange(dim)
-    for n in range(1, dim):
-        w[n, 1:] = 0.5 * (w[n - 1, :-1] + w[n - 1, 1:])
-    return w
+    return _binomials(dim) * 0.5 ** np.arange(dim)[:, None]
 
 
 def _click_outcomes(populations, efficiency: float, dark_probability: float) -> np.ndarray:

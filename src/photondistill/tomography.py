@@ -8,7 +8,6 @@ quadrature projectors, with the detection efficiency folded into the POVM.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import warnings
@@ -16,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedError
+from .errors import IllConditionedError, _require_columns
 from .fockspace import (
     DensityMatrix,
+    _binomials,
     _hermite_functions,
-    _loss_kraus_coeffs,
     _loss_map,
     pure_loss_channel,
     quadrature_pdf,
@@ -121,14 +120,14 @@ def _bin_matrices(dim: int, edges: np.ndarray) -> np.ndarray:
 
 
 def _efficiency_adjusted(G: np.ndarray, efficiency: float) -> np.ndarray:
-    """Pull the loss channel into the measurement operators (adjoint map)."""
+    """Pull the loss channel into the measurement operators: sum_k K_k^dag G K_k."""
     if efficiency == 1.0:
         return G
     dim = G.shape[1]
-    b = _loss_kraus_coeffs(dim, efficiency)
+    binom = _binomials(dim)
     out = np.zeros_like(G)
     for k in range(dim):
-        coeff = b[k:, k]
+        coeff = np.sqrt(binom[k:, k] * efficiency ** np.arange(dim - k) * (1.0 - efficiency) ** k)
         out[:, k:, k:] += coeff[None, :, None] * G[:, : dim - k, : dim - k] * coeff[None, None, :]
     return out
 
@@ -253,9 +252,7 @@ def read_samples_csv(path) -> np.recarray:
     """Read a CSV with `theta` and `x` columns, picked by header name."""
     with open(path, newline="") as fh:
         header = [name.strip() for name in fh.readline().rstrip("\r\n").split(",")]
-        missing = [name for name in ("theta", "x") if name not in header]
-        if missing:
-            raise ValueError(f"{path}: no {missing[0]!r} column in header {header}")
+        _require_columns(path, header, ("theta", "x"))
         columns = (header.index("theta"), header.index("x"))
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -275,8 +272,3 @@ def reconstruction_report(result: ReconstructionResult) -> dict:
             "imag": np.imag(result.rho.elements).tolist(),
         },
     }
-
-
-def write_reconstruction_json(path, result: ReconstructionResult):
-    with open(path, "w") as fh:
-        json.dump(reconstruction_report(result), fh, indent=2)

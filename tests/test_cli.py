@@ -279,6 +279,14 @@ class TestFit:
         assert abs(report["epsilon"] - 0.015) < 0.005
 
 
+    def test_observations_without_p2_column_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "obs.csv"
+        path.write_text("alpha_sq,p0,p1\n0.2,0.8,0.2\n")
+        code, _ = run(tmp_path, "fit", "--observations", str(path))
+        assert code == 3
+        assert "no 'p2' column" in capsys.readouterr().err
+
+
 class TestBudget:
     def test_bundled_budget(self, tmp_path):
         code, out = run(tmp_path, "budget")
@@ -298,6 +306,13 @@ class TestBudget:
         code, out = run(tmp_path, "budget", "--file", str(empty))
         assert code == 0
         assert read_json(out / "budget.json")["l_sum"] == 0.0
+
+    def test_missing_loss_column_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("label,fraction\nfiber,0.1\n")
+        code, _ = run(tmp_path, "budget", "--file", str(bad))
+        assert code == 3
+        assert "no 'loss' column" in capsys.readouterr().err
 
     def test_invalid_loss_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -350,6 +365,23 @@ class TestInputContract:
         (["g2", "--alpha-sq", "0.1", "--dark-rate", "inf"], "--dark-rate"),
         (["g2", "--alpha-sq", "0.1", "--pulse-fwhm", "0"], "--pulse-fwhm"),
         (["g2", "--alpha-sq", "0.1", "--dark-rate", "1e6"], "--dark-rate"),
+        (["tomography", "simulate", "--phases", "0"], "--phases"),
+        (["tomography", "simulate", "--phases=-3"], "--phases"),
+        (["tomography", "simulate", "--samples", "0"], "--samples"),
+        (["tomography", "simulate", "--samples", "11", "--phases", "12"], "--samples"),
+        (["tomography", "simulate", "--efficiency", "0"], "--efficiency"),
+        (["tomography", "simulate", "--efficiency", "1.5"], "--efficiency"),
+        (["tomography", "reconstruct", "--samples", "s.csv", "--efficiency", "0"],
+         "--efficiency"),
+        (["tomography", "reconstruct", "--samples", "s.csv", "--efficiency", "1.5"],
+         "--efficiency"),
+        (["tomography", "reconstruct", "--samples", "s.csv", "--max-iter", "0"], "--max-iter"),
+        (["tomography", "reconstruct", "--samples", "s.csv", "--tol", "0"], "--tol"),
+        (["tomography", "reconstruct", "--samples", "s.csv", "--tol=-1e-9"], "--tol"),
+        (["fit", "--observations", "o.csv", "--corrected-loss", "1"], "--corrected-loss"),
+        (["fit", "--observations", "o.csv", "--restarts", "0"], "--restarts"),
+        (["fit", "--observations", "o.csv", "--restarts=-4"], "--restarts"),
+        (["budget", "--l-fit", "2"], "--l-fit"),
     ])
     def test_bad_input_exits_2_naming_the_argument(self, tmp_path, capsys, argv, argument):
         with pytest.raises(SystemExit) as err:

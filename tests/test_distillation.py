@@ -254,6 +254,20 @@ class TestDistillGeneral:
         assert abs(p_herald - 0.452) < 0.02
 
 
+class TestKrausPrecision:
+    @pytest.mark.parametrize("preset", ["reference", "fiber"])
+    @pytest.mark.parametrize("alpha_sq", [1e-9, 1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_weak_coherent_input_matches_closed_form(self, preset, alpha_sq, parity):
+        # the odd branch of a weak pulse is ~alpha^2 of the input; the Kraus
+        # map must keep it to rounding relative to itself, as the closed form does
+        config = PRESETS[preset]
+        alpha = math.sqrt(alpha_sq)
+        general, _ = distill_general(coherent_state(alpha, 16).density_matrix(), config, parity)
+        closed = distill_coherent(config, alpha, parity, dim=16)
+        assert np.max(np.abs(general.elements - closed.elements)) < 1e-11
+
+
 class TestDistilledState:
     def test_matches_general_pipeline_for_coherent_input(self):
         alpha = math.sqrt(0.31)

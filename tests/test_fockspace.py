@@ -1,12 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
+import photondistill
 from photondistill.fockspace import (
     DensityMatrix,
+    _binomials,
+    _coherent_amplitudes,
     coherent_state,
     fidelity,
     fock_state,
@@ -47,6 +54,38 @@ def reference_wigner(rho, q, p):
             if d:
                 W[n, m] = np.conj(W[m, n])
     return np.einsum("mn,mn...->...", rho.elements, W).real
+
+
+class TestCombinatorics:
+    def test_binomials_match_math_comb(self):
+        table = _binomials(90)
+        exact = np.array([[float(math.comb(n, k)) for k in range(90)] for n in range(90)])
+        # integers below 2^53 are exact, larger ones correct to rounding
+        np.testing.assert_array_equal(table[:57, :57], exact[:57, :57])
+        np.testing.assert_allclose(table, exact, rtol=1e-14, atol=0)
+        assert not table.flags.writeable
+        np.testing.assert_array_equal(_binomials(7), exact[:7, :7])
+
+    def test_coherent_amplitudes_match_math_factorial(self):
+        z = 1.7 * np.exp(0.4j)
+        exact = np.array([z**n / math.sqrt(math.factorial(n)) for n in range(150)])
+        np.testing.assert_allclose(_coherent_amplitudes(z, 150), exact, rtol=1e-13, atol=0)
+        stacked = _coherent_amplitudes(np.array([0.0, z]), 4)
+        np.testing.assert_allclose(stacked, [[1.0, 0.0, 0.0, 0.0], exact[:4]], rtol=1e-15)
+
+    def test_large_coherent_state_keeps_its_norm(self):
+        # amplitudes beyond n = 300, where sqrt(n!) alone overflows a double
+        assert abs(coherent_state(20.0, 1600).norm - 1.0) < 1e-12
+
+    def test_library_imports_no_scipy(self):
+        modules = ["photondistill"] + [f"photondistill.{name}" for name in
+                                       ("fockspace", "distillation", "photonstats", "tomography")]
+        code = (f"import sys, {', '.join(modules)}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(photondistill.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "[]"
 
 
 class TestCoherentState:

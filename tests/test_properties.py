@@ -4,8 +4,11 @@ Draws rate sets (the kappa split, gamma, detunings), alpha^2 grids in
 [0, 3] and physical losses in [0, 1], and checks invariants that hold by
 construction: nonnegative populations that never sum above one, parity
 purity in the ideal limit, the once-per-call truncation warning, density
-matrices from the matrix path whose diagonal is the population path, and
-the Kraus map equal to the closed form on coherent inputs.
+matrices from the matrix path whose diagonal is the population path, the
+Kraus map equal to the closed form on coherent inputs, and energy
+conservation of the branch amplitudes.  The loss channel is drawn over
+random states: loss channels compose, the inverse channel undoes one, and
+the tomography POVM's efficiency map is its adjoint.
 The HBT click distribution is drawn over random photon-number
 distributions, detector efficiencies and dark-click probabilities.
 """
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from photondistill.cavity import CavityParams, branch_amplitudes
 from photondistill.distillation import (
+    BRANCH_PROB_FLOOR,
     ODD,
     DistillationConfig,
     _coherent_branches,
@@ -30,8 +34,9 @@ from photondistill.distillation import (
     parity_probabilities,
 )
 from photondistill.errors import EmptyBranchError
-from photondistill.fockspace import coherent_state
+from photondistill.fockspace import DensityMatrix, _loss_map, coherent_state, pure_loss_channel
 from photondistill.photonstats import _click_outcomes
+from photondistill.tomography import _efficiency_adjusted
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -49,6 +54,16 @@ def cavities(draw):
         delta_a=draw(st.floats(-8.0, 8.0)),
         delta_c=draw(st.floats(-4.0, 4.0)),
     )
+
+
+@st.composite
+def states(draw, max_dim=24):
+    """Random full-rank density matrix: normalized A A^dag for complex Gaussian A."""
+    dim = draw(st.integers(2, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    M = A @ A.conj().T
+    return DensityMatrix(dim, M / np.trace(M))
 
 
 def odd_herald_populations(params, grid, loss, loss_out, eps, dim):
@@ -144,15 +159,50 @@ def test_kraus_map_equals_closed_form_on_coherent_inputs(
                                 downstream_loss=downstream)
     alpha = math.sqrt(alpha_sq)
     p_odd, p_even = parity_probabilities(config, alpha)
-    # the Kraus map forms the odd branch as a difference of O(1) terms, so it
-    # keeps only ~1e-16/P_odd of it; the closed form has no such cancellation
-    assume(min(p_odd, p_even) > 1e-4)
-    dim = 24  # input tail beyond 24 photons < 1e-17 at alpha^2 <= 2
-    general, prob = distill_general(coherent_state(alpha, dim).density_matrix(), config,
+    assume(min(p_odd, p_even) > BRANCH_PROB_FLOOR)
+    # the compared states live in the first 24 levels; an input cut at 24
+    # would drop its elements <m|rho|24> ~ 1e-9 that feed level 23, so it
+    # gets 8 levels of headroom (amplitude < 2e-13 beyond them at alpha^2 <= 2)
+    dim = 24
+    general, prob = distill_general(coherent_state(alpha, dim + 8).density_matrix(), config,
                                     parity, corrected)
     closed = distill_coherent(config, alpha, parity, dim, corrected)
-    assert np.max(np.abs(general.elements - closed.elements)) < 1e-10
+    assert np.max(np.abs(general.elements[:dim, :dim] - closed.elements)) < 1e-10
     assert abs(prob - (p_odd if parity == ODD else p_even)) < 1e-10
+
+
+@SETTINGS
+@given(cavities(), st.booleans(), st.complex_numbers(max_magnitude=3.0))
+def test_branch_amplitudes_conserve_energy(params, coupled, alpha):
+    branch = branch_amplitudes(params, coupled, alpha)
+    assert abs(branch.total_power - abs(alpha) ** 2) <= 1e-12
+
+
+@SETTINGS
+@given(states(), unit, unit)
+def test_loss_channels_compose(rho, t1, t2):
+    twice = pure_loss_channel(pure_loss_channel(rho, t1), t2)
+    once = pure_loss_channel(rho, t1 * t2)
+    assert np.max(np.abs(twice.elements - once.elements)) <= 1e-12
+
+
+@SETTINGS
+@given(states(max_dim=12), st.floats(0.5, 1.0))
+def test_inverse_loss_channel_undoes_loss(rho, transmission):
+    # the inverse amplifies rounding by up to (1/T)^(dim-1) = 2^11 here
+    back = _loss_map(_loss_map(rho.elements, transmission), 1.0 / transmission)
+    assert np.max(np.abs(back - rho.elements)) <= 1e-11
+
+
+@SETTINGS
+@given(states(max_dim=16), st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+def test_efficiency_adjusted_povm_is_the_adjoint_of_loss(rho, efficiency, seed):
+    # Tr(G L(rho)) = Tr(L^dag(G) rho) for real symmetric G, like the bin matrices
+    G = np.random.default_rng(seed).normal(size=(3, rho.dim, rho.dim))
+    G = G + G.transpose(0, 2, 1)
+    want = np.einsum("lmn,nm->l", G, pure_loss_channel(rho, efficiency).elements)
+    got = np.einsum("lmn,nm->l", _efficiency_adjusted(G, efficiency), rho.elements)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @SETTINGS
