@@ -11,16 +11,18 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cavity import CavityParams
 from .distillation import model_populations
 from .errors import InconsistentBudgetError, _require_columns
 
+# With the atom on resonance (delta_a = 0) the model is even in delta_c, so
+# its sign is not identifiable and the fit is stated over delta_c >= 0; a
+# detuned atom breaks that symmetry and the fit then spans [-2, 2]
 FIT_BOUNDS = {
     "loss": (0.0, 0.8),
     "epsilon": (0.0, 0.1),
-    "delta_c": (-2.0, 2.0),
+    "delta_c": (0.0, 2.0),
 }
 N_RESTARTS = 8
 
@@ -56,6 +58,7 @@ class FitResult:
     residual: float
     converged: bool = True
     restarts: list = field(default_factory=list)
+    stderr: dict = field(default_factory=dict)
 
 
 def combine_losses(budget: LossBudget) -> float:
@@ -102,6 +105,21 @@ def read_observations_csv(path) -> np.ndarray:
     return _as_observation_array(rows)
 
 
+def fit_residuals(
+    theta: np.ndarray,
+    observations: np.ndarray,
+    params: CavityParams,
+    corrected_loss: float,
+) -> np.ndarray:
+    """Modeled minus observed p0..p2, flattened row by row."""
+    loss, eps, dc = theta
+    model = model_populations(
+        params.replace(delta_c=dc), observations[:, 0], loss, eps,
+        corrected_loss=corrected_loss, n_max=3,
+    )
+    return (model - observations[:, 1:]).ravel()
+
+
 def fit_objective(
     theta: np.ndarray,
     observations: np.ndarray,
@@ -109,15 +127,26 @@ def fit_objective(
     corrected_loss: float,
 ) -> float:
     """Sum of squared population errors over the observation rows."""
-    loss, eps, dc = theta
-    loss = float(np.clip(loss, *FIT_BOUNDS["loss"]))
-    eps = float(np.clip(eps, *FIT_BOUNDS["epsilon"]))
-    dc = float(np.clip(dc, *FIT_BOUNDS["delta_c"]))
-    model = model_populations(
-        params.replace(delta_c=dc), observations[:, 0], loss, eps,
-        corrected_loss=corrected_loss, n_max=3,
-    )
-    return float(np.sum((model - observations[:, 1:]) ** 2))
+    r = fit_residuals(theta, observations, params, corrected_loss)
+    return float(r @ r)
+
+
+def _standard_errors(fit) -> dict:
+    """sqrt(diag(s^2 (J^T J)^-1)) over the parameters off their bounds.
+
+    s^2 = sum(r^2)/(m - 3).  A parameter on an active bound, or one whose
+    variance is not a finite nonnegative number, reports None.
+    """
+    free = fit.active_mask == 0
+    jac = fit.jac[:, free]
+    s2 = 2.0 * fit.cost / (fit.fun.size - fit.x.size)
+    errors = np.full(fit.x.size, np.nan)
+    try:
+        var = s2 * np.diag(np.linalg.inv(jac.T @ jac))
+        errors[free] = np.sqrt(np.where(var >= 0.0, var, np.nan))
+    except np.linalg.LinAlgError:
+        pass
+    return {name: float(e) if np.isfinite(e) else None for name, e in zip(FIT_BOUNDS, errors)}
 
 
 def fit_imperfections(
@@ -126,45 +155,46 @@ def fit_imperfections(
     corrected_loss: float = 0.251,
     restarts: int = N_RESTARTS,
     seed: int = 0,
-    max_iter: int = 400,
 ) -> FitResult:
     """Fit (loss, epsilon, delta_c) to observed populations.
 
     observations: rows of (alpha_sq, p0, p1, p2), already corrected for the
     downstream loss `corrected_loss` (the model applies the same
-    correction).  Derivative-free simplex descent from `restarts` scattered
-    starting points inside the bounds; lowest residual wins, ties broken by
-    restart index.  The sign of delta_c is not identifiable on a
-    symmetric-line model, so the magnitude is reported.
+    correction).  Bounded trust-region least squares (TRF) on the
+    `fit_residuals` vector from `restarts` starting points inside
+    `FIT_BOUNDS` (delta_c of either sign when the atom is detuned);
+    lowest residual wins, ties broken by restart index.
+    `stderr` holds each parameter's standard error at the winning optimum.
     """
+    from scipy.optimize import least_squares
+
     obs = _as_observation_array(observations)
     rng = np.random.default_rng(seed)
-    bounds = [FIT_BOUNDS["loss"], FIT_BOUNDS["epsilon"], FIT_BOUNDS["delta_c"]]
+    lower, upper = np.array(list(FIT_BOUNDS.values())).T
+    if params.delta_a != 0.0:
+        lower[2] = -upper[2]
     starts = [np.array([0.3, 0.01, 0.0])]
     for _ in range(max(restarts - 1, 0)):
-        starts.append(np.array([rng.uniform(*b) for b in bounds]))
+        starts.append(np.array([rng.uniform(lo, hi) for lo, hi in zip(lower, upper)]))
 
     attempts = []
     for index, x0 in enumerate(starts):
-        res = minimize(
-            fit_objective,
-            x0,
-            args=(obs, params, corrected_loss),
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxiter": max_iter, "xatol": 1e-8, "fatol": 1e-14},
-        )
-        attempts.append((float(res.fun), index, res))
+        # TRF scales the gradient by the distance to the bound, so the default
+        # gtol (1e-8) stops ~1e-5 short of a parameter whose optimum is on it
+        res = least_squares(fit_residuals, x0, bounds=(lower, upper), method="trf",
+                            gtol=1e-12, args=(obs, params, corrected_loss))
+        attempts.append((2.0 * float(res.cost), index, res))
     attempts.sort(key=lambda item: (item[0], item[1]))
     best_fun, _, best = attempts[0]
     loss, eps, dc = best.x
     return FitResult(
-        loss=float(np.clip(loss, *FIT_BOUNDS["loss"])),
-        epsilon=float(np.clip(eps, *FIT_BOUNDS["epsilon"])),
-        delta_c=abs(float(np.clip(dc, *FIT_BOUNDS["delta_c"]))),
+        loss=float(loss),
+        epsilon=float(eps),
+        delta_c=float(dc),
         residual=best_fun,
         converged=bool(best.success),
         restarts=[fun for fun, _, _ in sorted(attempts, key=lambda i: i[1])],
+        stderr=_standard_errors(best),
     )
 
 

@@ -436,6 +436,7 @@ def cmd_fit(args, writer: RunWriter) -> int:
         "residual": result.residual,
         "converged": result.converged,
         "restart_residuals": result.restarts,
+        "stderr": result.stderr,
     }
     writer.write_json("fit.json", payload)
     print(json.dumps(payload, indent=2))

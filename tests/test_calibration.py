@@ -3,10 +3,12 @@ import pytest
 
 from photondistill.calibration import (
     FIT_BOUNDS,
+    N_RESTARTS,
     LossBudget,
     combine_losses,
     fit_imperfections,
     fit_objective,
+    fit_residuals,
     read_observations_csv,
     residual_loss,
     synthetic_observations,
@@ -14,11 +16,44 @@ from photondistill.calibration import (
 from photondistill.cavity import CavityParams
 from photondistill.distillation import model_populations
 from photondistill.errors import InconsistentBudgetError
-from photondistill.presets import budget_csv_path
+from photondistill.presets import PRESETS, budget_csv_path
 
 REFERENCE_PARAMS = CavityParams(g=7.8, kappa=2.5, kappa_r=2.3, kappa_t=0.2, kappa_m=0.0, gamma=3.0)
 
 ALPHA_GRID = (0.1, 0.35, 0.85, 1.48, 2.61)
+
+# criterion 11: truth, cavity and intensities of the acceptance fit
+CRITERION_11_TRUTH = (0.352, 0.013, 0.39)
+CRITERION_11_PARAMS = PRESETS["reference"].params.replace(delta_c=0.0)
+
+
+def nelder_mead_reference(observations, params, corrected_loss=0.251, restarts=N_RESTARTS,
+                          seed=0):
+    """The simplex fit that bounded least squares replaced, kept as a reference.
+
+    Nelder-Mead on the sum of squares with the parameters clipped to their
+    bounds inside the objective, delta_c searched over [-2, 2] and reported
+    as |delta_c|.  Returns ((loss, epsilon, |delta_c|), residual).
+    """
+    from scipy.optimize import minimize
+
+    bounds = [(0.0, 0.8), (0.0, 0.1), (-2.0, 2.0)]
+
+    def clipped(theta):
+        return np.array([np.clip(v, lo, hi) for v, (lo, hi) in zip(theta, bounds)])
+
+    rng = np.random.default_rng(seed)
+    starts = [np.array([0.3, 0.01, 0.0])]
+    for _ in range(restarts - 1):
+        starts.append(np.array([rng.uniform(*b) for b in bounds]))
+    runs = [minimize(lambda theta: fit_objective(clipped(theta), observations, params,
+                                                 corrected_loss),
+                     x0, method="Nelder-Mead", bounds=bounds,
+                     options={"maxiter": 400, "xatol": 1e-8, "fatol": 1e-14})
+            for x0 in starts]
+    best = min(runs, key=lambda run: run.fun)  # first of equal residuals wins
+    loss, eps, dc = clipped(best.x)
+    return (loss, eps, abs(dc)), float(best.fun)
 
 
 class TestCombineLosses:
@@ -135,3 +170,57 @@ class TestFitImperfections:
         assert FIT_BOUNDS["loss"][0] <= result.loss <= FIT_BOUNDS["loss"][1]
         assert FIT_BOUNDS["epsilon"][0] <= result.epsilon <= FIT_BOUNDS["epsilon"][1]
         assert abs(result.delta_c) <= FIT_BOUNDS["delta_c"][1]
+
+
+class TestFitResiduals:
+    def test_residual_is_the_objective_at_the_reported_parameters(self):
+        obs = synthetic_observations(REFERENCE_PARAMS, CRITERION_11_TRUTH, ALPHA_GRID,
+                                     noise=0.01, seed=7)
+        result = fit_imperfections(obs, REFERENCE_PARAMS, restarts=2, seed=2)
+        assert result.delta_c >= 0.0
+        theta = np.array([result.loss, result.epsilon, result.delta_c])
+        r = fit_residuals(theta, obs, REFERENCE_PARAMS, 0.251)
+        assert r.shape == (3 * len(ALPHA_GRID),)
+        assert result.residual == pytest.approx(fit_objective(theta, obs, REFERENCE_PARAMS, 0.251),
+                                                rel=1e-12)
+        assert result.residual == pytest.approx(float(np.sum(r ** 2)), rel=1e-12)
+
+
+class TestDetuningSign:
+    def test_detuned_atom_fits_a_negative_delta_c(self):
+        # delta_a != 0 makes the model uneven in delta_c, so its sign is fitted
+        params = PRESETS["reference-g2"].params
+        truth = (0.3, 0.01, -0.3)
+        obs = synthetic_observations(params, truth, ALPHA_GRID, noise=0.005, seed=1)
+        result = fit_imperfections(obs, params, seed=0)
+        assert abs(result.loss - truth[0]) < 0.02
+        assert abs(result.epsilon - truth[1]) < 0.005
+        assert abs(result.delta_c - truth[2]) < 0.05
+
+
+class TestAgainstNelderMead:
+    @pytest.mark.parametrize("noise_seed, fit_seed", [(5, 6), (1, 0), (2, 3)])
+    def test_same_optimum_as_the_simplex_fit(self, noise_seed, fit_seed):
+        # (5, 6) is criterion 11's data and starts
+        obs = synthetic_observations(CRITERION_11_PARAMS, CRITERION_11_TRUTH, ALPHA_GRID,
+                                     noise=0.01, seed=noise_seed)
+        result = fit_imperfections(obs, CRITERION_11_PARAMS, seed=fit_seed)
+        (loss, eps, dc), residual = nelder_mead_reference(obs, CRITERION_11_PARAMS,
+                                                          seed=fit_seed)
+        assert result.residual <= residual * (1.0 + 1e-9)
+        assert abs(result.loss - loss) <= 1e-6
+        assert abs(result.epsilon - eps) <= 1e-6
+        assert abs(result.delta_c - dc) <= 1e-6
+
+
+class TestStandardErrors:
+    def test_stderr_matches_the_scatter_over_noise_draws(self):
+        fits = []
+        for seed in range(20):
+            obs = synthetic_observations(CRITERION_11_PARAMS, CRITERION_11_TRUTH, ALPHA_GRID,
+                                         noise=0.01, seed=seed)
+            fits.append(fit_imperfections(obs, CRITERION_11_PARAMS, restarts=2, seed=seed))
+        for name in FIT_BOUNDS:
+            spread = np.std([getattr(fit, name) for fit in fits], ddof=1)
+            reported = np.median([fit.stderr[name] for fit in fits])
+            assert 0.5 <= spread / reported <= 2.0, name

@@ -278,6 +278,31 @@ class TestFit:
         assert abs(report["loss"] - 0.3) < 0.03
         assert abs(report["epsilon"] - 0.015) < 0.005
 
+    def test_fit_json_reports_stderr_and_null_on_a_bound(self, tmp_path):
+        from photondistill.calibration import synthetic_observations
+        from photondistill.presets import PRESETS
+
+        # epsilon = 0 with this noise draw puts the optimum on epsilon's lower bound
+        obs = synthetic_observations(PRESETS["reference"].params, (0.3, 0.0, 0.3),
+                                     (0.2, 0.5, 1.0, 1.7, 2.5), noise=0.005, seed=1)
+        path = tmp_path / "obs.csv"
+        with open(path, "w") as fh:
+            fh.write("alpha_sq,p0,p1,p2\n")
+            for row in obs:
+                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        code, out = run(
+            tmp_path, "fit", "--observations", str(path), "--restarts", "3", "--seed", "1"
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((out / "fit.json").read_text(), parse_constant=reject)
+        assert report["epsilon"] == pytest.approx(0.0, abs=1e-12)
+        assert report["stderr"]["epsilon"] is None
+        assert 0.0 < report["stderr"]["loss"] < 0.01
+        assert 0.0 < report["stderr"]["delta_c"] < 0.05
 
     def test_observations_without_p2_column_exit_3(self, tmp_path, capsys):
         path = tmp_path / "obs.csv"

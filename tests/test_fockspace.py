@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.special import eval_genlaguerre, gammaln
 
 import photondistill
@@ -79,7 +80,8 @@ class TestCombinatorics:
 
     def test_library_imports_no_scipy(self):
         modules = ["photondistill"] + [f"photondistill.{name}" for name in
-                                       ("fockspace", "distillation", "photonstats", "tomography")]
+                                       ("fockspace", "distillation", "photonstats", "tomography",
+                                        "calibration", "cli")]
         code = (f"import sys, {', '.join(modules)}; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         src = str(Path(photondistill.__file__).resolve().parents[1])
@@ -196,7 +198,7 @@ class TestWigner:
         X, P = np.meshgrid(x, x, indexing="ij")
         for rho in (coherent_state(0.9, 18).density_matrix(), thermal_state(0.4, 18)):
             W = wigner(rho, X, P)
-            total = np.trapezoid(np.trapezoid(W, x, axis=1), x)
+            total = trapezoid(trapezoid(W, x, axis=1), x)
             assert abs(total - 1.0) < 1e-4
 
     def test_coherent_state_is_displaced_gaussian(self):
@@ -222,7 +224,7 @@ class TestWigner:
                 for x0 in xs:
                     q_pts = x0 * c - p * s
                     p_pts = x0 * s + p * c
-                    marg = np.trapezoid(wigner(rho, q_pts, p_pts), p)
+                    marg = trapezoid(wigner(rho, q_pts, p_pts), p)
                     assert abs(marg - quadrature_pdf(rho, theta, x0)[0]) < 1e-4
 
 
@@ -290,13 +292,13 @@ class TestQuadraturePdf:
     def test_normalization(self):
         x = np.linspace(-8, 8, 2001)
         rho = coherent_state(1.1, 25).density_matrix()
-        total = np.trapezoid(quadrature_pdf(rho, 0.4, x), x)
+        total = trapezoid(quadrature_pdf(rho, 0.4, x), x)
         assert abs(total - 1.0) < 1e-6
 
     def test_coherent_mean(self):
         x = np.linspace(-8, 8, 2001)
         pdf = quadrature_pdf(coherent_state(1.0, 25).density_matrix(), 0.0, x)
-        mean = np.trapezoid(x * pdf, x)
+        mean = trapezoid(x * pdf, x)
         assert abs(mean - math.sqrt(2)) < 1e-6
 
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from photondistill.cavity import CavityParams
 from photondistill.distillation import DistillationConfig, distilled_populations, distilled_state
@@ -325,7 +326,7 @@ class TestPulseShape:
     def test_intensity_integrates_to_mean_photon_number(self, kind):
         pulse = PulseShape(kind, 2.3e-6, 0.37)
         t = np.linspace(-30e-6, 30e-6, 200_001)
-        total = np.trapezoid(pulse.intensity(t), t)
+        total = trapezoid(pulse.intensity(t), t)
         # rectangular edges quantize on the grid; smooth shapes are exact
         tol = 5e-5 if kind == "rectangular" else 1e-6
         assert abs(total - 0.37) < tol

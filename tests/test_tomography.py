@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.special import gammaln
 
 from photondistill.cavity import CavityParams
@@ -124,7 +125,7 @@ class TestSampleHomodyne:
 
         rho = fock_state(1, 8).density_matrix()
         grid = np.linspace(-8, 8, 4001)
-        expected = np.trapezoid(grid**2 * quadrature_pdf(rho, 0.0, grid), grid)
+        expected = trapezoid(grid**2 * quadrature_pdf(rho, 0.0, grid), grid)
         assert abs(expected - 1.5) < 1e-9
         xs = np.array([s.x for s in sample_homodyne(rho, [0.3], 100_000, seed=12)])
         assert abs(xs.var() - expected) < 0.02
