@@ -25,6 +25,9 @@ FIT_BOUNDS = {
     "delta_c": (0.0, 2.0),
 }
 N_RESTARTS = 8
+# Restarts within this relative distance of the lowest residual reached one
+# optimum: the first of them wins, so model rounding cannot pick the result
+FIT_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ def fit_imperfections(
     correction).  Bounded trust-region least squares (TRF) on the
     `fit_residuals` vector from `restarts` starting points inside
     `FIT_BOUNDS` (delta_c of either sign when the atom is detuned);
-    lowest residual wins, ties broken by restart index.
+    the lowest-index restart within FIT_TIE_RTOL of the lowest residual wins.
     `stderr` holds each parameter's standard error at the winning optimum.
     """
     from scipy.optimize import least_squares
@@ -177,23 +180,22 @@ def fit_imperfections(
     for _ in range(max(restarts - 1, 0)):
         starts.append(np.array([rng.uniform(lo, hi) for lo, hi in zip(lower, upper)]))
 
-    attempts = []
-    for index, x0 in enumerate(starts):
-        # TRF scales the gradient by the distance to the bound, so the default
-        # gtol (1e-8) stops ~1e-5 short of a parameter whose optimum is on it
-        res = least_squares(fit_residuals, x0, bounds=(lower, upper), method="trf",
-                            gtol=1e-12, args=(obs, params, corrected_loss))
-        attempts.append((2.0 * float(res.cost), index, res))
-    attempts.sort(key=lambda item: (item[0], item[1]))
-    best_fun, _, best = attempts[0]
+    # TRF scales the gradient by the distance to the bound, so the default
+    # gtol (1e-8) stops ~1e-5 short of a parameter whose optimum is on it
+    runs = [least_squares(fit_residuals, x0, bounds=(lower, upper), method="trf",
+                          gtol=1e-12, args=(obs, params, corrected_loss)) for x0 in starts]
+    residuals = [2.0 * float(res.cost) for res in runs]
+    tie = min(residuals) * (1.0 + FIT_TIE_RTOL)
+    winner = next(i for i, value in enumerate(residuals) if value <= tie)
+    best = runs[winner]
     loss, eps, dc = best.x
     return FitResult(
         loss=float(loss),
         epsilon=float(eps),
         delta_c=float(dc),
-        residual=best_fun,
+        residual=residuals[winner],
         converged=bool(best.success),
-        restarts=[fun for fun, _, _ in sorted(attempts, key=lambda i: i[1])],
+        restarts=residuals,
         stderr=_standard_errors(best),
     )
 

@@ -100,11 +100,6 @@ class RunWriter:
         self.outputs.append(name)
         return self.out_dir / name
 
-    def write_text(self, name: str, text: str):
-        _atomic_write(self.out_dir / name, text)
-        self.outputs.append(name)
-        return self.out_dir / name
-
     def manifest(self, command: str, config_path: str, seed: int):
         import scipy
 
@@ -194,13 +189,14 @@ def _conflict(args) -> str | None:
     return None
 
 
-def _add_common(parser, min_dim: int = 2):
+def _add_common(parser, dim: bool = False):
     parser.add_argument("--config", default="reference",
                         help="preset name (reference, reference-g2, fiber) or config file path")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--dim", type=_int_at_least("dim", min_dim), default=20,
-                        help=f"Fock truncation dimension (>= {min_dim})")
+    if dim:  # only where a truncated density matrix is built
+        parser.add_argument("--dim", type=_int_at_least("dim", 2), default=20,
+                            help="Fock truncation dimension (>= 2)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,26 +210,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("params", help="derived cavity quantities")
     _add_common(p)
 
-    p = sub.add_parser("sweep", help="heralding probability and populations vs intensity")
-    _add_common(p, min_dim=4)  # the p3 column
+    p = sub.add_parser("sweep", help="heralding probability and exact populations vs intensity")
+    _add_common(p)
     p.add_argument("--grid", type=_alpha_sq_grid, default="0.05:2.5:50",
                    help="alpha^2 grid MIN:MAX:STEPS")
     p.add_argument("--uncorrected", dest="corrected", action="store_false", default=True,
                    help="report populations without inverting the downstream loss")
 
     p = sub.add_parser("wigner", help="phase-space map of the distilled state")
-    _add_common(p)
+    _add_common(p, dim=True)
     p.add_argument("--alpha-sq", type=_alpha_sq, default=0.31)
     p.add_argument("--grid", type=_parse_grid, default="-3:3:81",
                    help="q and p axis MIN:MAX:STEPS")
     p.add_argument("--uncorrected", dest="corrected", action="store_false", default=True)
 
     p = sub.add_parser("g2", help="second-order correlation predictions")
-    _add_common(p)
+    _add_common(p, dim=True)
     p.add_argument("--alpha-sq", type=_alpha_sq, default=None,
-                   help="single-point Monte Carlo at this intensity")
+                   help="single-point Monte Carlo at this intensity, on --dim levels")
     p.add_argument("--grid", type=_alpha_sq_grid, default=None,
-                   help="alpha^2 grid MIN:MAX:STEPS for the curve")
+                   help="alpha^2 grid MIN:MAX:STEPS for the curve, exact (ignores --dim)")
     p.add_argument("--mc", action="store_true", help="Monte Carlo instead of analytic curve")
     p.add_argument("--trials", type=_int_at_least("trials", 1), default=1_000_000)
     p.add_argument("--offsets", type=_int_at_least("offsets", 0), default=5,
@@ -251,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomography", help="synthetic homodyne records and reconstruction")
     tomo_sub = p.add_subparsers(dest="mode", required=True)
     sim = tomo_sub.add_parser("simulate", help="draw homodyne samples")
-    _add_common(sim)
+    _add_common(sim, dim=True)
     sim.add_argument("--state", default="distilled", choices=["distilled", "coherent"])
     sim.add_argument("--alpha-sq", type=_alpha_sq, default=0.31)
     sim.add_argument("--phases", type=_int_at_least("phases", 1), default=12)
@@ -260,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--efficiency", type=_efficiency, default=1.0)
     sim.add_argument("--uncorrected", dest="corrected", action="store_false", default=True)
     rec = tomo_sub.add_parser("reconstruct", help="maximum-likelihood estimate from samples")
-    _add_common(rec)
+    _add_common(rec, dim=True)
     rec.add_argument("--samples", required=True, help="CSV with theta,x columns")
     rec.add_argument("--efficiency", type=_efficiency, default=1.0)
     rec.add_argument("--max-iter", type=_int_at_least("max-iter", 1), default=1000)
@@ -307,7 +303,7 @@ def cmd_params(args, writer: RunWriter) -> int:
 
 def cmd_sweep(args, writer: RunWriter) -> int:
     config = resolve_config(args.config)
-    rows = sweep_rows(config, args.grid, dim=args.dim, corrected=args.corrected)
+    rows = sweep_rows(config, args.grid, corrected=args.corrected)
     fields = ["alpha_sq", "p_up", "f1", "p0", "p1", "p2", "p3",
               "suppression", "suppression_rel", "coherent_ref"]
     writer.write_csv("sweep.csv", fields, rows)
@@ -363,7 +359,7 @@ def cmd_g2(args, writer: RunWriter) -> int:
     if args.alpha_sq is None and args.grid is None:
         raise ModelError("g2 needs --alpha-sq (point mode) or --grid (curve mode)")
     if args.grid is not None:
-        rows = g2_curve(config, args.grid, hbt, dim=args.dim, monte_carlo=args.mc)
+        rows = g2_curve(config, args.grid, hbt, monte_carlo=args.mc)
         writer.write_csv("g2_curve.csv", ["alpha_sq", "g2_zero", "stderr", "g2_state"], rows)
     if args.alpha_sq is not None:
         pulse = PulseShape(args.pulse_kind, args.pulse_fwhm, args.alpha_sq)

@@ -30,6 +30,12 @@ from . import fockspace
 # Herald probabilities below this are treated as an empty (undefined) branch.
 BRANCH_PROB_FLOOR = 1e-12
 
+# Largest share of a nonempty branch's mass that exact populations leave out,
+# and the largest branch mean photon number they take (past ~700, the Fock
+# amplitudes or the HBT splitter's binomial weights overflow)
+EXACT_TAIL = 1e-15
+EXACT_MAX_PHOTONS = 500.0
+
 ODD = "odd"
 EVEN = "even"
 
@@ -109,13 +115,29 @@ def _unit_branches(params: CavityParams):
     return up.r, down.r, c_loss, c_refl
 
 
+def _exact_levels(nbar: float, p_min: float) -> int:
+    """Fock levels holding all but EXACT_TAIL of every branch, at least 4 (p0..p3).
+
+    The raw branches sum to 2(|u><u| + |d><d|), so a branch of herald
+    probability P >= p_min drops at most Q/P beyond N levels, Q the tail
+    of a Poisson law of mean nbar, at most e^-nbar (e nbar/N)^N.
+    """
+    if nbar > EXACT_MAX_PHOTONS:
+        raise ValueError(f"largest branch mean photon number {nbar:.3g} exceeds "
+                         f"{EXACT_MAX_PHOTONS:g}, the range of the exact populations")
+    budget = -math.log(EXACT_TAIL * p_min)
+    n = max(4, math.floor(nbar) + 1)
+    while nbar > 0.0 and nbar + n * (math.log(n / nbar) - 1.0) < budget:
+        n += 1
+    return n
+
+
 def _coherent_branches(
     params: CavityParams,
     alpha_sq,
     loss: float,
     loss_out: float,
-    n_max: int,
-    renormalize: bool = False,
+    n_max: int | None = None,
     outer: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both heralded branches of a coherent input over an alpha^2 array, closed form.
@@ -124,13 +146,13 @@ def _coherent_branches(
     alpha^2 times a constant of the unit-amplitude branches.  Returns three
     arrays indexed [parity (odd, even), point, ...]: P_parity; the overlap
     <alpha|rho_parity|alpha> with the input at the physical loss `loss`;
-    and rho_parity at `loss_out` on n_max levels, as populations or, with
-    `outer`, as density matrices (1 - loss_out may exceed 1, the formal
-    over-correction used in fitting).  With `renormalize` each branch is
-    divided by its trace over the n_max levels, as the state truncated at
-    dim = n_max is, and one warning is emitted when the largest branch mean
-    photon number exceeds n_max/4; otherwise the branches are the exact
-    closed form.  Branches of an empty herald are NaN.
+    and rho_parity at `loss_out` (1 - loss_out may exceed 1, the formal
+    over-correction used in fitting).  As populations, rho_parity is exact
+    on its first n_max levels, or on `_exact_levels` of them when n_max is
+    None.  With `outer` it is the density matrix truncated at dim = n_max,
+    divided by its trace there, and one warning is emitted when the
+    largest branch mean photon number exceeds n_max/4.  Branches of an
+    empty herald are NaN.
     """
     a2 = np.asarray(alpha_sq, dtype=float).reshape(-1)
     if not np.all(a2 >= 0.0):
@@ -138,19 +160,17 @@ def _coherent_branches(
     r_up, r_down, c_loss, c_refl = _unit_branches(params)
     n_up, n_down = abs(r_up) ** 2, abs(r_down) ** 2
     T = 1.0 - loss_out
-    if renormalize:
-        nbar = T * np.max(a2, initial=0.0) * max(n_up, n_down)
-        if nbar > n_max / 4:
-            warnings.warn(
-                f"largest branch mean photon number {nbar:.3g} exceeds "
-                f"dim/4 = {n_max / 4:.3g}; truncation may be inadequate",
-                stacklevel=3,
-            )
 
     # P_odd and 1 - lambda are differences of nearly equal terms at small
     # alpha^2; expm1 keeps them to rounding there
     herald = a2 * (c_refl + c_loss)
     probs = np.array([-np.expm1(herald).real / 2.0, (1.0 + np.exp(herald).real) / 2.0])
+    nbar = T * float(np.max(a2, initial=0.0)) * max(n_up, n_down)
+    if n_max is None:  # enough levels for the least likely nonempty branch
+        n_max = _exact_levels(nbar, np.min(probs, where=probs >= BRANCH_PROB_FLOOR, initial=1.0))
+    if outer and nbar > n_max / 4:
+        warnings.warn(f"largest branch mean photon number {nbar:.3g} exceeds dim/4 = "
+                      f"{n_max / 4:.3g}; truncation may be inadequate", stacklevel=3)
 
     # 4 P_parity <alpha|rho_parity|alpha> from <alpha|nu alpha r> of each branch
     nu = math.sqrt(1.0 - loss)
@@ -170,12 +190,12 @@ def _coherent_branches(
         one_minus_lam = one_minus_lam[:, :, None]
     branches = np.array(_parity_split(u_up, u_down, one_minus_lam, outer))
 
-    if renormalize:
-        diagonal = np.diagonal(branches, axis1=-2, axis2=-1).real if outer else branches
-        norm = diagonal.sum(axis=-1)
+    if outer:
+        norm = np.diagonal(branches, axis1=-2, axis2=-1).real.sum(axis=-1)
     else:
         norm = 4.0 * probs
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an empty herald's branch may be divided by a subnormal trace or P_parity
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         overlaps /= 4.0 * probs
         branches /= norm.reshape(norm.shape + (1,) * (branches.ndim - 2))
     return probs, overlaps, branches
@@ -250,7 +270,7 @@ def distill_coherent(
     index = _parity_index(parity)
     loss = config.uncorrected_loss if corrected else config.total_loss
     probs, _, states = _coherent_branches(
-        config.params, _alpha_sq(alpha), loss, loss, dim, renormalize=True, outer=True
+        config.params, _alpha_sq(alpha), loss, loss, dim, outer=True
     )
     _require_herald(parity, probs[index, 0])
     return DensityMatrix(dim, states[index, 0])
@@ -278,7 +298,7 @@ def herald_output(
     """Both heralded branches with their (error-free) probabilities."""
     loss = config.uncorrected_loss if corrected else config.total_loss
     probs, _, states = _coherent_branches(
-        config.params, _alpha_sq(alpha), loss, loss, dim, renormalize=True, outer=True
+        config.params, _alpha_sq(alpha), loss, loss, dim, outer=True
     )
     _require_herald(ODD, probs[0, 0])
     _require_herald(EVEN, probs[1, 0])
@@ -362,8 +382,7 @@ def distilled_state(
     """
     loss_out = config.uncorrected_loss if corrected else config.total_loss
     branches = _coherent_branches(
-        config.params, _alpha_sq(alpha), config.total_loss, loss_out, dim,
-        renormalize=True, outer=True,
+        config.params, _alpha_sq(alpha), config.total_loss, loss_out, dim, outer=True
     )
     rho, p_herald, empty = _error_mix(parity, config.detection_error, *branches)
     if empty[0]:
@@ -400,25 +419,31 @@ def distilled_state_general(
 def distilled_populations(
     config: DistillationConfig,
     alpha_sq,
-    dim: int = DEFAULT_DIM,
     corrected: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Populations of the odd-herald `distilled_state` over an alpha^2 array.
+    """Exact populations of the odd-herald `distilled_state` over an alpha^2 array.
 
-    Row k of the first array holds the dim populations of
-    distilled_state(config, sqrt(alpha_sq[k]), dim=dim, corrected=corrected)
-    and entry k of the second the herald probability it returns, from one
+    Row k of the first array holds the populations that
+    distilled_state(config, sqrt(alpha_sq[k]), corrected=corrected) tends
+    to as dim grows, on the levels `_exact_levels` gives for the grid, and
+    entry k of the second the herald probability it returns, from one
     closed-form evaluation.  Populations are NaN where the herald is empty.
-    Warns once per call when the largest branch mean photon number on the
-    grid exceeds dim/4.
     """
     loss_out = config.uncorrected_loss if corrected else config.total_loss
-    branches = _coherent_branches(
-        config.params, alpha_sq, config.total_loss, loss_out, dim, renormalize=True
-    )
+    branches = _coherent_branches(config.params, alpha_sq, config.total_loss, loss_out)
     pops, p_up, empty = _error_mix(ODD, config.detection_error, *branches)
     pops[empty] = np.nan
     return pops, p_up
+
+
+def _coherent_tail(x: np.ndarray) -> np.ndarray:
+    """P(n >= 2) = 1 - e^-x (1 + x) of coherent pulses of mean photon number x.
+
+    Below x = 1, where that difference cancels, it is summed over n = 2..23.
+    """
+    small = np.minimum(x, 1.0)
+    terms = fockspace._coherent_amplitudes(np.sqrt(small), 24)[..., 2:] ** 2
+    return np.where(x < 1.0, np.exp(-small) * terms.sum(axis=-1), -np.expm1(-x) - x * np.exp(-x))
 
 
 def model_populations(
@@ -450,22 +475,19 @@ def model_populations(
 def sweep_rows(
     config: DistillationConfig,
     alpha_sq_values,
-    dim: int = DEFAULT_DIM,
     corrected: bool = True,
 ) -> list[dict]:
     """Per-alpha^2 summary of the odd-heralded pipeline for CSV emission.
 
-    Zero-probability branches are recorded with NaN markers instead of
-    aborting the sweep.  `suppression` is the absolute 1 - P(n>=2);
+    Populations are exact (`distilled_populations`); zero-probability
+    branches are recorded with NaN markers instead of aborting the sweep.
+    `suppression` is the absolute 1 - P(n>=2), P(n>=2) summed over n >= 2;
     `suppression_rel` compares P(n>=2) against the input coherent pulse.
-    Needs dim >= 4 for the p3 column.
     """
-    if dim < 4:
-        raise ValueError(f"dim must be >= 4 for the p3 column, got {dim}")
     a2 = np.asarray(alpha_sq_values, dtype=float).reshape(-1)
-    pops, p_up = distilled_populations(config, a2, dim=dim, corrected=corrected)
+    pops, p_up = distilled_populations(config, a2, corrected=corrected)
     tail = np.sum(pops[:, 2:], axis=1)
-    coh_tail = 1.0 - np.exp(-a2) * (1.0 + a2)
+    coh_tail = _coherent_tail(a2)
     with np.errstate(divide="ignore", invalid="ignore"):
         suppression_rel = np.where(coh_tail > 0.0, 1.0 - tail / coh_tail, np.nan)
     columns = {

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams
-from .distillation import DistillationConfig, distilled_populations, distilled_state
+from .distillation import DistillationConfig, distilled_populations
 from .fockspace import DensityMatrix, _binomials, number_g2, photon_statistics
 
 GAUSSIAN = "gaussian"
@@ -213,25 +213,11 @@ def _sample_clicks(outcomes, trials: int, seed: int) -> tuple[np.ndarray, np.nda
     return c1, c2
 
 
-def hbt_monte_carlo(
-    rho: DensityMatrix,
-    cfg: HBTConfig,
-    n_offsets: int = 5,
-) -> HBTResult:
-    """Simulate the run-by-run coincidence measurement of the state.
-
-    Per trial: one draw of the two click booleans from their joint
-    distribution (`_click_outcomes`: binomial 50:50 split, efficiency
-    thinning and a dark click per detector), so the estimator's expectation
-    is `click_g2`.  g2(tau) pairs arm 1 of run i with arm 2 of run i + tau,
-    for tau = 0 .. n_offsets.
-    """
-    if not 0 <= n_offsets < cfg.trials:
-        raise ValueError(f"n_offsets must be in [0, trials), got {n_offsets} "
-                         f"for {cfg.trials} trials")
-    probs = np.clip(rho.populations(), 0.0, None)
-    outcomes = _click_outcomes(probs, cfg.detector_efficiency, cfg.dark_probability)
-    c1, c2 = _sample_clicks(outcomes, cfg.trials, cfg.seed)
+def _hbt_estimate(populations, cfg: HBTConfig, seed: int, n_offsets: int) -> HBTResult:
+    """g2(tau), tau = 0 .. n_offsets, from cfg.trials runs of `populations` drawn with `seed`."""
+    outcomes = _click_outcomes(np.clip(populations, 0.0, None), cfg.detector_efficiency,
+                               cfg.dark_probability)
+    c1, c2 = _sample_clicks(outcomes, cfg.trials, seed)
 
     # NumPy counts: an arm that never clicked makes g2 and se NaN, not an exception
     n1, n2 = np.array([np.count_nonzero(c1), np.count_nonzero(c2)])
@@ -253,22 +239,41 @@ def hbt_monte_carlo(
     )
 
 
+def hbt_monte_carlo(
+    rho: DensityMatrix,
+    cfg: HBTConfig,
+    n_offsets: int = 5,
+) -> HBTResult:
+    """Simulate the run-by-run coincidence measurement of the state.
+
+    Per trial: one draw of the two click booleans from their joint
+    distribution (`_click_outcomes`: binomial 50:50 split, efficiency
+    thinning and a dark click per detector), so the estimator's expectation
+    is `click_g2`.  g2(tau) pairs arm 1 of run i with arm 2 of run i + tau,
+    for tau = 0 .. n_offsets.
+    """
+    if not 0 <= n_offsets < cfg.trials:
+        raise ValueError(f"n_offsets must be in [0, trials), got {n_offsets} "
+                         f"for {cfg.trials} trials")
+    return _hbt_estimate(rho.populations(), cfg, cfg.seed, n_offsets)
+
+
 def g2_curve(
     config: DistillationConfig,
     alpha_sq_grid,
     cfg: HBTConfig,
-    dim: int = 20,
     monte_carlo: bool = False,
 ) -> list[dict]:
     """Expected g2(0) of the odd-heralded light versus input intensity.
 
-    Uses the exact click-level expectation including dark counts,
-    evaluated in closed form over the whole grid at once; with
-    `monte_carlo` each grid point is additionally estimated by simulation.
-    Empty heralds are recorded as NaN rows.
+    Uses the exact click-level expectation including dark counts on the
+    exact populations (`distilled_populations`), over the whole grid at
+    once; with `monte_carlo` row i is additionally estimated by simulating
+    cfg.trials runs of its populations with seed cfg.seed + i.  Empty
+    heralds are recorded as NaN rows.
     """
     alpha_sq = np.asarray(alpha_sq_grid, dtype=float).reshape(-1)
-    pops, _ = distilled_populations(config, alpha_sq, dim=dim)
+    pops, _ = distilled_populations(config, alpha_sq)
     empty = np.isnan(pops[:, 0])
     columns = {
         "alpha_sq": alpha_sq,
@@ -280,15 +285,7 @@ def g2_curve(
     rows = [dict(zip(names, row)) for row in zip(*(col.tolist() for col in columns.values()))]
     if monte_carlo:
         for i in np.flatnonzero(~empty):
-            rho, _ = distilled_state(config, math.sqrt(alpha_sq[i]), dim=dim)
-            mc_cfg = HBTConfig(
-                detector_efficiency=cfg.detector_efficiency,
-                dark_count_rate=cfg.dark_count_rate,
-                coincidence_window=cfg.coincidence_window,
-                trials=cfg.trials,
-                seed=cfg.seed + int(i),
-            )
-            result = hbt_monte_carlo(rho, mc_cfg, n_offsets=0)
+            result = _hbt_estimate(pops[i], cfg, cfg.seed + int(i), 0)
             rows[i].update(g2_zero=result.g2_zero, stderr=result.stderr)
     return rows
 

@@ -3,6 +3,7 @@ import pytest
 
 from photondistill.calibration import (
     FIT_BOUNDS,
+    FIT_TIE_RTOL,
     N_RESTARTS,
     LossBudget,
     combine_losses,
@@ -116,10 +117,39 @@ class TestFitImperfections:
         assert abs(result.delta_c - truth[2]) < 0.2
 
     def test_best_restart_wins(self):
+        # the 8 restarts end on one optimum, their residuals 1e-13 apart
         truth = (0.2, 0.02, 0.5)
         obs = synthetic_observations(REFERENCE_PARAMS, truth, ALPHA_GRID, noise=0.005, seed=9)
         result = fit_imperfections(obs, REFERENCE_PARAMS, seed=3)
-        assert result.residual <= min(result.restarts) + 1e-18
+        tie = min(result.restarts) * (1.0 + FIT_TIE_RTOL)
+        first = next(i for i, value in enumerate(result.restarts) if value <= tie)
+        assert result.residual == result.restarts[first]
+        assert result.residual <= min(result.restarts) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("costs, winner", [
+        ([1.0 + 1e-13, 1.0, 1.0 + 5e-14], 0),  # rounding-level differences tie
+        ([1.0 + 1e-8, 1.0, 1.0 + 5e-14], 1),  # a worse first restart loses
+    ])
+    def test_restarts_within_the_tie_tolerance_go_to_the_lowest_index(
+        self, monkeypatch, costs, winner
+    ):
+        import scipy.optimize
+        from types import SimpleNamespace
+
+        calls = iter(range(len(costs)))
+
+        def stub(fun, x0, **kwargs):
+            i = next(calls)
+            return SimpleNamespace(x=np.array([0.1 * (i + 1), 0.01, 0.2]), cost=costs[i] / 2.0,
+                                   success=True, fun=np.zeros(15), jac=np.eye(15, 3),
+                                   active_mask=np.zeros(3, dtype=int))
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", stub)
+        obs = synthetic_observations(REFERENCE_PARAMS, (0.2, 0.02, 0.5), ALPHA_GRID)
+        result = fit_imperfections(obs, REFERENCE_PARAMS, restarts=len(costs))
+        assert result.restarts == costs
+        assert result.loss == 0.1 * (winner + 1)
+        assert result.residual == costs[winner]
 
     def test_identifiability_perturbations_increase_residual(self):
         truth = (0.352, 0.013, 0.39)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ class TestParams:
 
 class TestSweep:
     def test_curve_values(self, tmp_path):
-        code, out = run(tmp_path, "sweep", "--grid", "0.0:1.0:6", "--dim", "16")
+        code, out = run(tmp_path, "sweep", "--grid", "0.0:1.0:6")
         assert code == 0
         rows = read_csv_rows(out / "sweep.csv")
         assert len(rows) == 6
@@ -94,9 +95,21 @@ class TestSweep:
         mid = rows[2]  # alpha^2 = 0.4
         assert abs(float(mid["f1"]) - 0.68) < 0.02
 
+    def test_bright_probe_exits_0_without_warning(self, tmp_path):
+        from photondistill.distillation import sweep_rows
+        from photondistill.presets import resolve_config
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "sweep", "--grid", "0.05:40:3")
+        assert code == 0
+        rows = read_csv_rows(out / "sweep.csv")
+        exact = sweep_rows(resolve_config("reference"), [40.0])[0]
+        assert rows[-1]["p1"] == f"{exact['p1']:.12g}" == "3.19253790992e-09"
+
     def test_deterministic_output_bytes(self, tmp_path):
-        _, out1 = run(tmp_path / "a", "sweep", "--grid", "0.1:0.5:3", "--dim", "12")
-        _, out2 = run(tmp_path / "b", "sweep", "--grid", "0.1:0.5:3", "--dim", "12")
+        _, out1 = run(tmp_path / "a", "sweep", "--grid", "0.1:0.5:3")
+        _, out2 = run(tmp_path / "b", "sweep", "--grid", "0.1:0.5:3")
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
@@ -164,6 +177,32 @@ class TestG2:
         code, _ = run(tmp_path, "g2")
         assert code == 3
 
+    def test_curve_monte_carlo(self, tmp_path):
+        from photondistill.distillation import distilled_state
+        from photondistill.photonstats import DARK_WINDOW_WIDTHS, HBTConfig, hbt_monte_carlo
+        from photondistill.presets import HBT_DEFAULTS, resolve_config
+
+        argv = ("g2", "--config", "reference-g2", "--grid", "0:2.5:4", "--trials", "4000",
+                "--detector-efficiency", "0.5", "--seed", "11")
+        outs = [run(tmp_path / name, *argv, *extra)[1]
+                for name, extra in (("mc", ("--mc",)), ("again", ("--mc",)), ("exact", ()))]
+        mc, exact = (read_csv_rows(out / "g2_curve.csv") for out in (outs[0], outs[2]))
+        assert (outs[0] / "g2_curve.csv").read_bytes() == (outs[1] / "g2_curve.csv").read_bytes()
+        assert math.isnan(float(mc[0]["g2_zero"])) and math.isnan(float(mc[0]["stderr"]))
+        config = resolve_config("reference-g2")
+        for i in range(1, 4):
+            g2, stderr = float(mc[i]["g2_zero"]), float(mc[i]["stderr"])
+            assert abs(g2 - float(exact[i]["g2_zero"])) <= 5.0 * stderr
+            # the row's stream is that of the point-mode sampler at seed + i
+            rho, _ = distilled_state(config, math.sqrt(float(mc[i]["alpha_sq"])), dim=40)
+            cfg = HBTConfig(detector_efficiency=0.5,
+                            dark_count_rate=HBT_DEFAULTS["dark_count_rate"],
+                            coincidence_window=DARK_WINDOW_WIDTHS * HBT_DEFAULTS["pulse_fwhm"],
+                            trials=4000, seed=11 + i)
+            result = hbt_monte_carlo(rho, cfg, n_offsets=0)
+            assert (mc[i]["g2_zero"], mc[i]["stderr"]) == (f"{result.g2_zero:.12g}",
+                                                            f"{result.stderr:.12g}")
+
 
 class TestCsvFormat:
     def test_command_csvs_match_per_cell_format(self, tmp_path, monkeypatch):
@@ -177,7 +216,7 @@ class TestCsvFormat:
 
         monkeypatch.setattr(RunWriter, "write_csv", capture)
         commands = [
-            ("sweep", "--grid", "0.0:2.5:40", "--dim", "12"),
+            ("sweep", "--grid", "0.0:2.5:40"),
             ("g2", "--config", "reference-g2", "--grid", "0.0:2.5:9", "--dim", "12"),
             ("g2", "--config", "reference-g2", "--alpha-sq", "0.11", "--trials", "20000",
              "--dim", "12"),
@@ -377,8 +416,6 @@ class TestInputContract:
         (["g2", "--grid=-0.5:1:4"], "--grid"),
         (["sweep", "--grid", "0:1:0"], "--grid"),
         (["wigner", "--grid=-1:1:0"], "--grid"),
-        (["sweep", "--dim", "2"], "--dim"),
-        (["sweep", "--dim", "3"], "--dim"),
         (["wigner", "--dim", "1"], "--dim"),
         (["tomography", "reconstruct", "--samples", "s.csv", "--dim", "1"], "--dim"),
         (["g2", "--alpha-sq", "0.1", "--trials", "0"], "--trials"),
@@ -420,7 +457,11 @@ class TestInputContract:
         assert code == 0
         assert len(read_csv_rows(out / "wigner.csv")) == 9
 
-    def test_sweep_at_smallest_dim(self, tmp_path):
-        code, out = run(tmp_path, "sweep", "--grid", "0.1:0.3:2", "--dim", "4")
-        assert code == 0
-        assert len(read_csv_rows(out / "sweep.csv")) == 2
+    @pytest.mark.parametrize("command", [
+        ["sweep"], ["params"], ["fit", "--observations", "o.csv"], ["budget"],
+    ])
+    def test_dim_only_where_a_matrix_is_built(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--dim", "20", "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --dim" in capsys.readouterr().err

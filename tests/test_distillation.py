@@ -8,6 +8,7 @@ import pytest
 from photondistill.cavity import CavityParams, branch_amplitudes
 from photondistill.distillation import (
     DistillationConfig,
+    _coherent_tail,
     distill_coherent,
     distill_general,
     distilled_populations,
@@ -344,15 +345,23 @@ class TestFiguresOfMerit:
 
 class TestSweepRows:
     def test_zero_alpha_row_records_marker(self):
-        rows = sweep_rows(REFERENCE_FIT, [0.0, 0.2], dim=12)
+        rows = sweep_rows(REFERENCE_FIT, [0.0, 0.2])
         assert math.isnan(rows[0]["f1"])
         assert abs(rows[0]["p_up"] - 0.013) < 1e-12
         assert not math.isnan(rows[1]["f1"])
 
     def test_coherent_reference_column(self):
-        rows = sweep_rows(REFERENCE_FIT, [0.5, 1.0], dim=12)
+        rows = sweep_rows(REFERENCE_FIT, [0.5, 1.0])
         for row in rows:
             assert abs(row["coherent_ref"] - row["alpha_sq"] * math.exp(-row["alpha_sq"])) < 1e-12
+
+
+def padded(pops, dim):
+    """Population rows padded with zeros, or cut, to dim levels."""
+    pops = np.atleast_2d(pops)
+    out = np.pad(pops, ((0, 0), (0, max(0, dim - pops.shape[1]))))[:, :dim]
+    out[np.isnan(pops).any(axis=1)] = np.nan
+    return out
 
 
 def per_point_rows(config, grid, dim, corrected):
@@ -372,18 +381,15 @@ def per_point_rows(config, grid, dim, corrected):
 class TestClosedFormCore:
     GRID = np.array([0.0, 1e-6, 1e-3, 0.01, 0.05, 0.31, 0.9, 1.7, 2.5])
 
-    @pytest.mark.parametrize("dim", [4, 12, 20])
     @pytest.mark.parametrize("corrected", [True, False])
     @pytest.mark.parametrize("eps", [0.0, 0.013, 0.2])
-    def test_sweep_rows_equal_per_point_states(self, dim, corrected, eps):
+    def test_sweep_rows_equal_per_point_states(self, corrected, eps):
         config = DistillationConfig(
             params=REFERENCE_FIT.params, detection_error=eps,
             uncorrected_loss=0.135, downstream_loss=0.251,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # dim 4 is too small for the top of the grid
-            rows = sweep_rows(config, self.GRID, dim=dim, corrected=corrected)
-            pops, p_up = per_point_rows(config, self.GRID, dim, corrected)
+        rows = sweep_rows(config, self.GRID, corrected=corrected)
+        pops, p_up = per_point_rows(config, self.GRID, 40, corrected)
         got = np.array([[row[f"p{n}"] for n in range(4)] for row in rows])
         np.testing.assert_allclose(got, pops[:, :4], rtol=0, atol=1e-12)
         np.testing.assert_allclose([row["f1"] for row in rows], pops[:, 1], rtol=0, atol=1e-12)
@@ -399,18 +405,19 @@ class TestClosedFormCore:
     @pytest.mark.parametrize("eps", [0.0, 0.013])
     def test_distilled_populations_equal_per_point_states(self, eps):
         config = DistillationConfig(params=IDEAL_PARAMS, detection_error=eps)
-        pops, p_up = distilled_populations(config, self.GRID, dim=12)
-        ref, ref_p = per_point_rows(config, self.GRID, 12, False)
-        np.testing.assert_allclose(pops, ref, rtol=0, atol=1e-12)
+        pops, p_up = distilled_populations(config, self.GRID)
+        ref, ref_p = per_point_rows(config, self.GRID, 40, False)
+        assert pops.shape[1] < 40
+        np.testing.assert_allclose(padded(pops, 40), ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(p_up, ref_p, rtol=0, atol=1e-12)
 
     def test_small_pulses_keep_full_precision(self):
         # ideal cavity: the odd herald is the odd projection of |alpha>
         config = DistillationConfig(params=IDEAL_PARAMS)
         grid = np.array([1e-9, 1e-6, 1e-3, 0.5])
-        pops, _ = distilled_populations(config, grid, dim=20)
+        pops, _ = distilled_populations(config, grid)
         closed = model_populations(IDEAL_PARAMS, grid, 0.0, 0.0, n_max=20)
-        for row, exact, alpha_sq in zip(pops, closed, grid):
+        for row, exact, alpha_sq in zip(padded(pops, 20), closed, grid):
             oracle = odd_projected_coherent(math.sqrt(alpha_sq), 20).populations()
             np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-12)
             rho, _ = distilled_state(config, math.sqrt(alpha_sq), dim=20)
@@ -442,31 +449,49 @@ class TestClosedFormCore:
 
     def test_negative_alpha_sq_rejected(self):
         with pytest.raises(ValueError, match="alpha_sq"):
-            sweep_rows(REFERENCE_FIT, [0.5, -1.0], dim=12)
+            sweep_rows(REFERENCE_FIT, [0.5, -1.0])
         with pytest.raises(ValueError, match="alpha_sq"):
             model_populations(REFERENCE_FIT.params, -0.5, 0.352, 0.013)
 
-    def test_sweep_needs_dim_four(self):
-        with pytest.raises(ValueError, match="dim"):
-            sweep_rows(REFERENCE_FIT, [0.5], dim=3)
-
-    def test_truncation_warning_once_per_call(self):
-        # branch mean photon numbers up to (1-0.135) * 8 * |r|^2 > 12/4 at dim 12
-        grid = np.linspace(0.5, 8.0, 40)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sweep_rows(REFERENCE_FIT, grid, dim=12)
-        messages = [str(w.message) for w in caught]
-        assert len(messages) == 1 and "dim/4" in messages[0]
+    def test_bright_sweep_is_exact_without_warning(self):
+        # at alpha^2 = 40 a renormalized 20-level truncation gave p1 = 9.3e-7
+        grid = np.linspace(0.05, 40.0, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sweep_rows(REFERENCE_FIT, grid[:3], dim=12)
+            rows = sweep_rows(REFERENCE_FIT, grid)
+            rho, p_up = distilled_state(REFERENCE_FIT, math.sqrt(40.0), dim=200,
+                                        corrected=True)
+        p = rho.populations()
+        assert abs(rows[-1]["p1"] / p[1] - 1.0) < 1e-12
+        assert abs(rows[-1]["p1"] - 3.19e-9) < 0.01e-9
+        assert abs(rows[-1]["p_up"] - p_up) < 1e-15
+        assert abs(rows[-1]["suppression"] - (p[0] + p[1])) < 1e-12
+
+    def test_p3_column_at_the_faintest_pulse(self):
+        pops, _ = distilled_populations(REFERENCE_FIT, [1e-9])
+        assert pops.shape == (1, 4)
+        assert sweep_rows(REFERENCE_FIT, [1e-9])[0]["p3"] >= 0.0
+
+    def test_beyond_the_exact_range_raises(self):
+        with pytest.raises(ValueError, match="mean photon number"):
+            sweep_rows(REFERENCE_FIT, [0.5, 5000.0])
+
+    @pytest.mark.parametrize("alpha_sq",
+                             [1e-8, 1e-6, 1e-5, 1e-4, 0.01, 0.3, 0.999, 1.0, 2.5, 40.0])
+    def test_coherent_tail_against_50_digits(self, alpha_sq):
+        import mpmath
+
+        with mpmath.workdps(50):
+            x = mpmath.mpf(alpha_sq)
+            want = 1 - mpmath.exp(-x) * (1 + x)
+            got = _coherent_tail(np.array([alpha_sq]))[0]
+            assert abs(got / want - 1) < 1e-13
 
     @pytest.mark.parametrize("corrected", [False, True])
     def test_small_pulse_states_equal_closed_form_populations(self, corrected):
         grid = np.array([1e-9, 1e-6, 1e-3])
-        pops, p_up = distilled_populations(REFERENCE_FIT, grid, dim=20, corrected=corrected)
-        for row, p, alpha_sq in zip(pops, p_up, grid):
+        pops, p_up = distilled_populations(REFERENCE_FIT, grid, corrected=corrected)
+        for row, p, alpha_sq in zip(padded(pops, 20), p_up, grid):
             rho, p_herald = distilled_state(REFERENCE_FIT, math.sqrt(alpha_sq), dim=20,
                                             corrected=corrected)
             np.testing.assert_allclose(rho.populations(), row, rtol=0, atol=1e-15)

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -197,7 +196,7 @@ class TestClickOutcomes:
     def test_paper_detector_against_50_digits(self):
         # at eta = 0.05 with 20/s x 6.9 us of darks, P(both click) is 5e-6..1e-3
         eta, p_dark = 0.05, 20.0 * GAUSS_PULSE.dark_window()
-        pops, _ = distilled_populations(G2_CONFIG, np.array([1e-3, 0.11, 0.5, 1.5, 2.5]), dim=16)
+        pops, _ = distilled_populations(G2_CONFIG, np.array([1e-3, 0.11, 0.5, 1.5, 2.5]))
         both = _click_outcomes(pops, eta, p_dark)[:, 2]
         g2 = click_g2(pops, eta, p_dark)
         for row, got_both, got_g2 in zip(pops, both, g2):
@@ -293,18 +292,15 @@ class TestG2CurveEquivalence:
                          math.nan if g2_state is None else g2_state))
         return np.array(rows)
 
-    @pytest.mark.parametrize("dim", [4, 12, 20])
     @pytest.mark.parametrize("eps", [0.0, 0.013])
-    def test_rows_equal_per_point_states(self, dim, eps):
+    def test_rows_equal_per_point_states(self, eps):
         config = DistillationConfig(params=G2_CONFIG.params, detection_error=eps,
                                     uncorrected_loss=0.135)
         # the paper's eta = 0.05 is test_paper_detector_relative
         cfg = HBTConfig(detector_efficiency=0.2, dark_count_rate=20.0,
                         coincidence_window=6.9e-6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # dim 4 is too small for the top of the grid
-            rows = g2_curve(config, self.GRID, cfg, dim=dim)
-            ref = self.per_point(config, cfg, dim)
+        rows = g2_curve(config, self.GRID, cfg)
+        ref = self.per_point(config, cfg, 40)
         got = np.array([(row["g2_zero"], row["g2_state"]) for row in rows])
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
         assert [row["alpha_sq"] for row in rows] == self.GRID
@@ -315,8 +311,8 @@ class TestG2CurveEquivalence:
     def test_paper_detector_relative(self):
         cfg = HBTConfig(detector_efficiency=0.05, dark_count_rate=20.0,
                         coincidence_window=GAUSS_PULSE.dark_window())
-        rows = g2_curve(G2_CONFIG, self.GRID[1:], cfg, dim=16)
-        ref = self.per_point(G2_CONFIG, cfg, 16)[1:]
+        rows = g2_curve(G2_CONFIG, self.GRID[1:], cfg)
+        ref = self.per_point(G2_CONFIG, cfg, 40)[1:]
         np.testing.assert_allclose([row["g2_zero"] for row in rows], ref[:, 0], rtol=1e-9)
         np.testing.assert_allclose([row["g2_state"] for row in rows], ref[:, 1], rtol=1e-12)
 

@@ -110,21 +110,57 @@ def test_odd_herald_is_parity_pure_in_ideal_limit(kappa_r, gamma, delta_a, grid,
 
 
 @SETTINGS
-@given(cavities(), alpha_sq_grids.map(lambda g: 4.0 * g), unit, unit, st.integers(2, 24),
-       st.booleans())
+@given(cavities(), st.floats(0.0, 12.0), unit, unit, st.integers(2, 24), st.booleans())
+# a subnormal alpha^2: the empty odd branch is divided by a subnormal trace
+@example(CavityParams.from_decays(g=1.0, kappa_r=1.0, kappa_t=0.0, kappa_m=0.0, gamma=1.0),
+         2.2250738585e-313, 0.0, 0.0, 2, False)
 def test_truncation_warning_fires_once_exactly_above_dim_over_4(
-    params, grid, uncorrected, downstream, dim, corrected
+    params, alpha_sq, uncorrected, downstream, dim, corrected
 ):
     config = DistillationConfig(params=params, uncorrected_loss=uncorrected,
                                 downstream_loss=downstream)
     loss_out = uncorrected if corrected else config.total_loss
     largest_r = max(abs(branch_amplitudes(params, up, 1.0).r) ** 2 for up in (True, False))
-    nbar = (1.0 - loss_out) * grid.max() * largest_r
+    nbar = (1.0 - loss_out) * alpha_sq * largest_r
     assume(abs(nbar - dim / 4) > 1e-9)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        distilled_populations(config, grid, dim=dim, corrected=corrected)
+        try:
+            distilled_state(config, math.sqrt(alpha_sq), dim=dim, corrected=corrected)
+        except EmptyBranchError:
+            pass
     assert len(caught) == (1 if nbar > dim / 4 else 0)
+
+
+@SETTINGS
+@given(cavities(),
+       st.sampled_from([0.3, 3.0, 40.0]).flatmap(
+           lambda top: st.lists(st.floats(0.0, top), min_size=1, max_size=12)).map(np.array),
+       unit, unit, st.floats(0.0, 0.5), st.booleans())
+@example(CavityParams.from_decays(g=1e7, kappa_r=2.5, kappa_t=0.0, kappa_m=0.0, gamma=3.0),
+         np.array([1e-9, 40.0]), 0.0, 0.0, 0.0, False)
+# weak coupling, P_odd = 1.4e-3: the level count needs the 1/P_odd of the bound
+@example(CavityParams.from_decays(g=0.3, kappa_r=1.0, kappa_t=0.5, kappa_m=0.5, gamma=1.0,
+                                  delta_a=2.0), np.array([0.3]), 0.0, 0.0, 0.01, False)
+def test_population_path_drops_less_than_1e_15(
+    params, grid, uncorrected, downstream, eps, corrected
+):
+    # The mass the population path leaves out, read off the same closed form
+    # on 200 more levels, whose first ones agree bit for bit.  1 - sum(p_n)
+    # itself also holds the rounding of the populations, which grows with
+    # alpha^2 to ~2e-15 at alpha^2 = 40.
+    config = DistillationConfig(params=params, detection_error=eps,
+                                uncorrected_loss=uncorrected, downstream_loss=downstream)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pops, _ = distilled_populations(config, grid, corrected=corrected)
+    loss_out = uncorrected if corrected else config.total_loss
+    levels = pops.shape[1]
+    more, _, _ = _error_mix(ODD, eps, *_coherent_branches(
+        params, grid, config.total_loss, loss_out, levels + 200))
+    finite = ~np.isnan(pops).any(axis=1)
+    np.testing.assert_array_equal(pops[finite], more[finite, :levels])
+    assert np.all(more[finite, levels:].sum(axis=1) <= 1e-15)
 
 
 @SETTINGS
@@ -135,9 +171,9 @@ def test_distilled_state_is_a_density_matrix_on_the_closed_form_diagonal(
 ):
     config = DistillationConfig(params=params, detection_error=eps,
                                 uncorrected_loss=uncorrected, downstream_loss=downstream)
+    pops, _ = distilled_populations(config, alpha_sq, corrected=corrected)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # truncation at small dim
-        pops, _ = distilled_populations(config, alpha_sq, dim=dim, corrected=corrected)
         for parity in ("odd", "even"):
             try:
                 rho, _ = distilled_state(config, math.sqrt(alpha_sq), parity, dim, corrected)
@@ -145,8 +181,11 @@ def test_distilled_state_is_a_density_matrix_on_the_closed_form_diagonal(
                 assert parity != ODD or np.isnan(pops[0]).all()
                 continue
             rho.validate()
-            if parity == ODD:
-                np.testing.assert_allclose(rho.populations(), pops[0], rtol=0, atol=1e-12)
+    if not np.isnan(pops[0]).any():
+        # on as many levels as the population path, the truncation drops < 1e-15
+        levels = pops.shape[1]
+        rho, _ = distilled_state(config, math.sqrt(alpha_sq), ODD, levels, corrected)
+        np.testing.assert_allclose(rho.populations(), pops[0], rtol=0, atol=1e-12)
 
 
 @SETTINGS
