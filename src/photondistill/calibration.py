@@ -123,17 +123,6 @@ def fit_residuals(
     return (model - observations[:, 1:]).ravel()
 
 
-def fit_objective(
-    theta: np.ndarray,
-    observations: np.ndarray,
-    params: CavityParams,
-    corrected_loss: float,
-) -> float:
-    """Sum of squared population errors over the observation rows."""
-    r = fit_residuals(theta, observations, params, corrected_loss)
-    return float(r @ r)
-
-
 def _standard_errors(fit) -> dict:
     """sqrt(diag(s^2 (J^T J)^-1)) over the parameters off their bounds.
 

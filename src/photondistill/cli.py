@@ -32,7 +32,6 @@ from .fockspace import coherent_state, wigner
 from .photonstats import (
     DARK_WINDOW_WIDTHS,
     HBTConfig,
-    PulseShape,
     bandwidth_check,
     g2_curve,
     hbt_monte_carlo,
@@ -362,7 +361,6 @@ def cmd_g2(args, writer: RunWriter) -> int:
         rows = g2_curve(config, args.grid, hbt, monte_carlo=args.mc)
         writer.write_csv("g2_curve.csv", ["alpha_sq", "g2_zero", "stderr", "g2_state"], rows)
     if args.alpha_sq is not None:
-        pulse = PulseShape(args.pulse_kind, args.pulse_fwhm, args.alpha_sq)
         rho, _ = distilled_state(config, math.sqrt(args.alpha_sq), dim=args.dim)
         result = hbt_monte_carlo(rho, hbt, n_offsets=args.offsets)
         rows = [
@@ -371,7 +369,7 @@ def cmd_g2(args, writer: RunWriter) -> int:
             for tau in range(len(result.g2_tau))
         ]
         writer.write_csv("g2_tau.csv", ["tau_index", "g2", "stderr"], rows)
-        check = bandwidth_check(pulse, config.params)
+        check = bandwidth_check(args.pulse_kind, args.pulse_fwhm, config.params)
         summary = {
             "alpha_sq": args.alpha_sq,
             "g2_zero": result.g2_zero,

@@ -1,5 +1,5 @@
-"""Photon-counting statistics: analytic g2, Hanbury Brown-Twiss Monte Carlo
-across experimental runs with dark counts, pulse envelopes and the
+"""Photon-counting statistics: the exact click-level g2, Hanbury Brown-Twiss
+Monte Carlo across experimental runs with dark counts, and the
 pulse-bandwidth validity check.
 
 The Monte Carlo follows the run-level protocol: one heralded pulse per
@@ -21,11 +21,7 @@ import numpy as np
 
 from .cavity import CavityParams
 from .distillation import DistillationConfig, distilled_populations
-from .fockspace import DensityMatrix, _binomials, number_g2, photon_statistics
-
-GAUSSIAN = "gaussian"
-DOUBLE_PEAK = "double_peak"
-RECTANGULAR = "rectangular"
+from .fockspace import DensityMatrix, number_g2
 
 # pulses narrower than this fraction of the cavity linewidth pass the check
 BANDWIDTH_RATIO_LIMIT = 0.1
@@ -34,60 +30,6 @@ BANDWIDTH_RATIO_LIMIT = 0.1
 DARK_WINDOW_WIDTHS = 3.0
 
 MC_BLOCK = 1 << 20  # trials per RNG substream; fixed for reproducibility
-
-
-@dataclass(frozen=True)
-class PulseShape:
-    """Temporal intensity envelope of the input pulse.
-
-    fwhm_or_duration is the FWHM for gaussian/double_peak and the full
-    duration for rectangular pulses, in seconds.  The intensity envelope
-    integrates to the mean photon number.
-    """
-
-    kind: str
-    fwhm_or_duration: float
-    mean_photon_number: float
-    repetition_rate: float = 500.0
-
-    def __post_init__(self):
-        if self.kind not in (GAUSSIAN, DOUBLE_PEAK, RECTANGULAR):
-            raise ValueError(f"unknown pulse kind {self.kind!r}")
-        if self.fwhm_or_duration <= 0:
-            raise ValueError("pulse width must be positive")
-        if self.mean_photon_number < 0:
-            raise ValueError("mean photon number must be nonnegative")
-        if self.repetition_rate <= 0:
-            raise ValueError("repetition rate must be positive")
-
-    def intensity(self, t) -> np.ndarray:
-        """Intensity envelope at times t (s); integrates to alpha^2."""
-        t = np.asarray(t, dtype=float)
-        w = self.fwhm_or_duration
-        n = self.mean_photon_number
-        if self.kind == GAUSSIAN:
-            sigma = w / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-            return n * np.exp(-0.5 * (t / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-        if self.kind == DOUBLE_PEAK:
-            # two equal sub-pulses of the stated FWHM, one pulse width apart
-            sigma = w / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-            half = 0.5 * n / (sigma * math.sqrt(2 * math.pi))
-            return half * (
-                np.exp(-0.5 * ((t - w) / sigma) ** 2) + np.exp(-0.5 * ((t + w) / sigma) ** 2)
-            )
-        return np.where(np.abs(t) <= w / 2.0, n / w, 0.0)
-
-    def dark_window(self) -> float:
-        """Coincidence-gate duration used for dark-count integration."""
-        return DARK_WINDOW_WIDTHS * self.fwhm_or_duration
-
-    def spectral_fwhm_mhz(self) -> float:
-        """Fourier-limited spectral intensity FWHM of the envelope, in MHz."""
-        if self.kind == RECTANGULAR:
-            # sinc^2 power spectrum main lobe
-            return 0.886 / self.fwhm_or_duration / 1e6
-        # gaussian time-bandwidth product; double peak bounded by its sub-pulse
-        return 2.0 * math.log(2.0) / (math.pi * self.fwhm_or_duration) / 1e6
 
 
 @dataclass(frozen=True)
@@ -130,14 +72,17 @@ class HBTResult:
     trials: int
 
 
-def g2_analytic(rho: DensityMatrix) -> float | None:
-    """g2(0) = <n(n-1)>/<n>^2 from the photon-number distribution."""
-    return photon_statistics(rho).g2_zero
-
-
 def _split_weights(dim: int) -> np.ndarray:
-    """w[n, k] = C(n, k) / 2^n: n photons leave k in arm 1 at the 50:50 splitter."""
-    return _binomials(dim) * 0.5 ** np.arange(dim)[:, None]
+    """w[n, k] = C(n, k) / 2^n: n photons leave k in arm 1 at the 50:50 splitter.
+
+    Pascal's rule on the halves, w[n, k] = (w[n-1, k-1] + w[n-1, k]) / 2,
+    keeps every entry a probability where C(n, k) itself overflows (n > 1,029).
+    """
+    w = np.zeros((dim, dim + 1))  # w[n, k] in column k + 1; column 0 is k = -1
+    w[0, 1] = 1.0
+    for n in range(1, dim):
+        w[n, 1:] = 0.5 * (w[n - 1, :-1] + w[n - 1, 1:])
+    return w[:, 1:]
 
 
 def _click_outcomes(populations, efficiency: float, dark_probability: float) -> np.ndarray:
@@ -183,11 +128,6 @@ def click_g2(populations, efficiency: float, dark_probability: float) -> np.ndar
         return np.where(p1 > 0.0, both / (p1 * p1), np.nan)
 
 
-def g2_click_level(rho: DensityMatrix, efficiency: float, dark_probability: float) -> float:
-    """`click_g2` of one state."""
-    return float(click_g2(rho.populations(), efficiency, dark_probability))
-
-
 def _sample_clicks(outcomes, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Click booleans of both arms for `trials` runs, one uniform per run.
 
@@ -213,30 +153,18 @@ def _sample_clicks(outcomes, trials: int, seed: int) -> tuple[np.ndarray, np.nda
     return c1, c2
 
 
-def _hbt_estimate(populations, cfg: HBTConfig, seed: int, n_offsets: int) -> HBTResult:
-    """g2(tau), tau = 0 .. n_offsets, from cfg.trials runs of `populations` drawn with `seed`."""
-    outcomes = _click_outcomes(np.clip(populations, 0.0, None), cfg.detector_efficiency,
-                               cfg.dark_probability)
-    c1, c2 = _sample_clicks(outcomes, cfg.trials, seed)
+def _g2_estimate(coincidences, pairs, n1, n2, trials: int):
+    """g2 = (coincidences / pairs) / ((n1 / trials)(n2 / trials)) and its error.
 
-    # NumPy counts: an arm that never clicked makes g2 and se NaN, not an exception
-    n1, n2 = np.array([np.count_nonzero(c1), np.count_nonzero(c2)])
-    pairs = cfg.trials - np.arange(n_offsets + 1)
-    counts = np.array([np.count_nonzero(c1[:cfg.trials - tau] & c2[tau:])
-                       for tau in range(n_offsets + 1)])
+    The error is the delta-method one from the three Poisson-ish counts.
+    With NumPy counts, an arm that never clicked makes g2 and the error NaN,
+    not an exception.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        g2 = counts / pairs / (n1 / cfg.trials * (n2 / cfg.trials))
-        # delta-method error from the three Poisson-ish counts
-        se = np.where(counts > 0, g2 * np.sqrt(1.0 / counts + 1.0 / n1 + 1.0 / n2), np.nan)
-    return HBTResult(
-        g2_tau=g2,
-        g2_zero=float(g2[0]),
-        stderr=float(se[0]),
-        stderr_tau=se,
-        singles=(int(n1), int(n2)),
-        coincidences=int(counts[0]),
-        trials=cfg.trials,
-    )
+        g2 = coincidences / pairs / (n1 / trials * (n2 / trials))
+        se = np.where(coincidences > 0,
+                      g2 * np.sqrt(1.0 / coincidences + 1.0 / n1 + 1.0 / n2), np.nan)
+    return g2, se
 
 
 def hbt_monte_carlo(
@@ -255,7 +183,22 @@ def hbt_monte_carlo(
     if not 0 <= n_offsets < cfg.trials:
         raise ValueError(f"n_offsets must be in [0, trials), got {n_offsets} "
                          f"for {cfg.trials} trials")
-    return _hbt_estimate(rho.populations(), cfg, cfg.seed, n_offsets)
+    outcomes = _click_outcomes(np.clip(rho.populations(), 0.0, None), cfg.detector_efficiency,
+                               cfg.dark_probability)
+    c1, c2 = _sample_clicks(outcomes, cfg.trials, cfg.seed)
+    n1, n2 = np.array([np.count_nonzero(c1), np.count_nonzero(c2)])
+    counts = np.array([np.count_nonzero(c1[:cfg.trials - tau] & c2[tau:])
+                       for tau in range(n_offsets + 1)])
+    g2, se = _g2_estimate(counts, cfg.trials - np.arange(n_offsets + 1), n1, n2, cfg.trials)
+    return HBTResult(
+        g2_tau=g2,
+        g2_zero=float(g2[0]),
+        stderr=float(se[0]),
+        stderr_tau=se,
+        singles=(int(n1), int(n2)),
+        coincidences=int(counts[0]),
+        trials=cfg.trials,
+    )
 
 
 def g2_curve(
@@ -268,33 +211,48 @@ def g2_curve(
 
     Uses the exact click-level expectation including dark counts on the
     exact populations (`distilled_populations`), over the whole grid at
-    once; with `monte_carlo` row i is additionally estimated by simulating
-    cfg.trials runs of its populations with seed cfg.seed + i.  Empty
-    heralds are recorded as NaN rows.
+    once.  With `monte_carlo`, g2_zero and stderr are estimated from
+    cfg.trials simulated runs per row instead: at tau = 0 only the counts
+    of (both click, arm 1 alone, arm 2 alone, silent) matter, and every
+    nonempty row draws them in one multinomial call seeded with cfg.seed.
+    Empty heralds are recorded as NaN rows.
     """
     alpha_sq = np.asarray(alpha_sq_grid, dtype=float).reshape(-1)
     pops, _ = distilled_populations(config, alpha_sq)
-    empty = np.isnan(pops[:, 0])
-    columns = {
-        "alpha_sq": alpha_sq,
-        "g2_zero": click_g2(pops, cfg.detector_efficiency, cfg.dark_probability),
-        "stderr": np.where(empty, np.nan, 0.0),
-        "g2_state": number_g2(pops),
-    }
-    names = list(columns)
-    rows = [dict(zip(names, row)) for row in zip(*(col.tolist() for col in columns.values()))]
+    nonempty = ~np.isnan(pops[:, 0])
+    g2_zero = click_g2(pops, cfg.detector_efficiency, cfg.dark_probability)
+    stderr = np.where(nonempty, 0.0, np.nan)
     if monte_carlo:
-        for i in np.flatnonzero(~empty):
-            result = _hbt_estimate(pops[i], cfg, cfg.seed + int(i), 0)
-            rows[i].update(g2_zero=result.g2_zero, stderr=result.stderr)
-    return rows
+        outcomes = _click_outcomes(np.clip(pops[nonempty], 0.0, None), cfg.detector_efficiency,
+                                   cfg.dark_probability)
+        pvals = outcomes[:, [2, 1, 1, 0]]  # both, arm 1 alone, arm 2 alone, silent
+        counts = np.random.default_rng(cfg.seed).multinomial(
+            cfg.trials, pvals / pvals.sum(axis=1, keepdims=True))
+        both = counts[:, 0]
+        g2_zero[nonempty], stderr[nonempty] = _g2_estimate(
+            both, cfg.trials, both + counts[:, 1], both + counts[:, 2], cfg.trials)
+    columns = {"alpha_sq": alpha_sq, "g2_zero": g2_zero, "stderr": stderr,
+               "g2_state": number_g2(pops)}
+    return [dict(zip(columns, row)) for row in zip(*(col.tolist() for col in columns.values()))]
 
 
-def bandwidth_check(pulse: PulseShape, params: CavityParams) -> dict:
-    """Whether the pulse is spectrally narrow compared to the cavity line.
+def bandwidth_check(kind: str, width: float, params: CavityParams) -> dict:
+    """Whether a pulse is spectrally narrow compared to the cavity line.
 
-    ratio = spectral FWHM (MHz) / kappa (2*pi*MHz); valid below
+    width (s) is the FWHM of a gaussian or double_peak pulse and the full
+    duration of a rectangular one.  ratio = Fourier-limited spectral
+    intensity FWHM (MHz) / kappa (2*pi*MHz); valid below
     BANDWIDTH_RATIO_LIMIT (conservative).
     """
-    ratio = pulse.spectral_fwhm_mhz() / params.kappa
+    if not width > 0:
+        raise ValueError(f"pulse width must be positive, got {width!r}")
+    if kind == "rectangular":
+        # sinc^2 power spectrum main lobe
+        fwhm_mhz = 0.886 / width / 1e6
+    elif kind in ("gaussian", "double_peak"):
+        # gaussian time-bandwidth product; double peak bounded by its sub-pulse
+        fwhm_mhz = 2.0 * math.log(2.0) / (math.pi * width) / 1e6
+    else:
+        raise ValueError(f"unknown pulse kind {kind!r}")
+    ratio = fwhm_mhz / params.kappa
     return {"valid": bool(ratio < BANDWIDTH_RATIO_LIMIT), "ratio": float(ratio)}

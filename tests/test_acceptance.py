@@ -35,7 +35,7 @@ from photondistill.fockspace import (
     pure_loss_channel,
     wigner,
 )
-from photondistill.photonstats import HBTConfig, PulseShape, g2_analytic, hbt_monte_carlo
+from photondistill.photonstats import DARK_WINDOW_WIDTHS, HBTConfig, hbt_monte_carlo
 from photondistill.presets import PRESETS, budget_csv_path
 from photondistill.tomography import mle_reconstruct, sample_homodyne
 
@@ -139,15 +139,14 @@ def test_criterion_7_impure_source_boost():
 
 
 def test_criterion_8_g2():
-    coherent_g2 = g2_analytic(coherent_state(1.0, 30).density_matrix())
+    coherent_g2 = photon_statistics(coherent_state(1.0, 30).density_matrix()).g2_zero
     assert abs(coherent_g2 - 1.0) <= 1e-3
 
-    pulse = PulseShape("gaussian", 2.3e-6, 0.11)
     rho, _ = distilled_state(REFERENCE_G2, math.sqrt(0.11), dim=16)
     cfg = HBTConfig(
         detector_efficiency=0.05,
         dark_count_rate=20.0,
-        coincidence_window=pulse.dark_window(),
+        coincidence_window=DARK_WINDOW_WIDTHS * 2.3e-6,
         trials=10_000_000,
         seed=2024,
     )
@@ -259,11 +258,10 @@ def test_criterion_12_property_suites():
     # g2 estimator invariance under detector efficiency, at the published
     # weak-excitation point (threshold detectors saturate for bright light)
     rho, _ = distilled_state(REFERENCE_G2, math.sqrt(0.11), dim=16)
-    pulse = PulseShape("gaussian", 2.3e-6, 0.11)
     results = []
     for eta, seed in ((1.0, 11), (0.3, 12)):
         cfg = HBTConfig(detector_efficiency=eta, dark_count_rate=0.0,
-                        coincidence_window=pulse.dark_window(),
+                        coincidence_window=DARK_WINDOW_WIDTHS * 2.3e-6,
                         trials=2_000_000, seed=seed)
         results.append(hbt_monte_carlo(rho, cfg))
     diff = abs(results[0].g2_zero - results[1].g2_zero)

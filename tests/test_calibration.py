@@ -8,7 +8,6 @@ from photondistill.calibration import (
     LossBudget,
     combine_losses,
     fit_imperfections,
-    fit_objective,
     fit_residuals,
     read_observations_csv,
     residual_loss,
@@ -26,6 +25,12 @@ ALPHA_GRID = (0.1, 0.35, 0.85, 1.48, 2.61)
 # criterion 11: truth, cavity and intensities of the acceptance fit
 CRITERION_11_TRUTH = (0.352, 0.013, 0.39)
 CRITERION_11_PARAMS = PRESETS["reference"].params.replace(delta_c=0.0)
+
+
+def sum_of_squares(theta, observations, params, corrected_loss):
+    """Sum of the squared `fit_residuals`: the fit's objective."""
+    r = fit_residuals(theta, observations, params, corrected_loss)
+    return float(r @ r)
 
 
 def nelder_mead_reference(observations, params, corrected_loss=0.251, restarts=N_RESTARTS,
@@ -47,8 +52,8 @@ def nelder_mead_reference(observations, params, corrected_loss=0.251, restarts=N
     starts = [np.array([0.3, 0.01, 0.0])]
     for _ in range(restarts - 1):
         starts.append(np.array([rng.uniform(*b) for b in bounds]))
-    runs = [minimize(lambda theta: fit_objective(clipped(theta), observations, params,
-                                                 corrected_loss),
+    runs = [minimize(lambda theta: sum_of_squares(clipped(theta), observations, params,
+                                                  corrected_loss),
                      x0, method="Nelder-Mead", bounds=bounds,
                      options={"maxiter": 400, "xatol": 1e-8, "fatol": 1e-14})
             for x0 in starts]
@@ -154,11 +159,11 @@ class TestFitImperfections:
     def test_identifiability_perturbations_increase_residual(self):
         truth = (0.352, 0.013, 0.39)
         obs = synthetic_observations(REFERENCE_PARAMS, truth, ALPHA_GRID)
-        base = fit_objective(np.array(truth), obs, REFERENCE_PARAMS, 0.251)
+        base = sum_of_squares(np.array(truth), obs, REFERENCE_PARAMS, 0.251)
         for i in range(3):
             bumped = np.array(truth)
             bumped[i] *= 1.1
-            assert fit_objective(bumped, obs, REFERENCE_PARAMS, 0.251) > base
+            assert sum_of_squares(bumped, obs, REFERENCE_PARAMS, 0.251) > base
 
     def test_forward_model_orderings_match_observed_panels(self):
         # distributions at the demonstrated intensities: the one-photon
@@ -211,8 +216,8 @@ class TestFitResiduals:
         theta = np.array([result.loss, result.epsilon, result.delta_c])
         r = fit_residuals(theta, obs, REFERENCE_PARAMS, 0.251)
         assert r.shape == (3 * len(ALPHA_GRID),)
-        assert result.residual == pytest.approx(fit_objective(theta, obs, REFERENCE_PARAMS, 0.251),
-                                                rel=1e-12)
+        assert result.residual == pytest.approx(sum_of_squares(theta, obs, REFERENCE_PARAMS,
+                                                               0.251), rel=1e-12)
         assert result.residual == pytest.approx(float(np.sum(r ** 2)), rel=1e-12)
 
 

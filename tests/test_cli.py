@@ -178,8 +178,8 @@ class TestG2:
         assert code == 3
 
     def test_curve_monte_carlo(self, tmp_path):
-        from photondistill.distillation import distilled_state
-        from photondistill.photonstats import DARK_WINDOW_WIDTHS, HBTConfig, hbt_monte_carlo
+        from photondistill.distillation import distilled_populations
+        from photondistill.photonstats import DARK_WINDOW_WIDTHS, HBTConfig, _click_outcomes
         from photondistill.presets import HBT_DEFAULTS, resolve_config
 
         argv = ("g2", "--config", "reference-g2", "--grid", "0:2.5:4", "--trials", "4000",
@@ -189,19 +189,35 @@ class TestG2:
         mc, exact = (read_csv_rows(out / "g2_curve.csv") for out in (outs[0], outs[2]))
         assert (outs[0] / "g2_curve.csv").read_bytes() == (outs[1] / "g2_curve.csv").read_bytes()
         assert math.isnan(float(mc[0]["g2_zero"])) and math.isnan(float(mc[0]["stderr"]))
-        config = resolve_config("reference-g2")
-        for i in range(1, 4):
-            g2, stderr = float(mc[i]["g2_zero"]), float(mc[i]["stderr"])
+        # the nonempty rows' (both, arm 1 alone, arm 2 alone, silent) counts are
+        # one multinomial draw from their click outcomes, seeded with --seed
+        pops, _ = distilled_populations(resolve_config("reference-g2"), np.linspace(0, 2.5, 4)[1:])
+        cfg = HBTConfig(detector_efficiency=0.5, dark_count_rate=HBT_DEFAULTS["dark_count_rate"],
+                        coincidence_window=DARK_WINDOW_WIDTHS * HBT_DEFAULTS["pulse_fwhm"])
+        silent, alone, both = _click_outcomes(pops, 0.5, cfg.dark_probability).T
+        pvals = np.stack([both, alone, alone, silent], axis=1)
+        counts = np.random.default_rng(11).multinomial(4000, pvals / pvals.sum(axis=1)[:, None])
+        for i, (n11, n10, n01, _) in enumerate(counts.tolist(), start=1):
+            n1, n2 = n11 + n10, n11 + n01
+            g2 = n11 * 4000 / (n1 * n2)
+            stderr = g2 * math.sqrt(1 / n11 + 1 / n1 + 1 / n2)
+            assert float(mc[i]["g2_zero"]) == pytest.approx(g2, rel=1e-11)
+            assert float(mc[i]["stderr"]) == pytest.approx(stderr, rel=1e-11)
             assert abs(g2 - float(exact[i]["g2_zero"])) <= 5.0 * stderr
-            # the row's stream is that of the point-mode sampler at seed + i
-            rho, _ = distilled_state(config, math.sqrt(float(mc[i]["alpha_sq"])), dim=40)
-            cfg = HBTConfig(detector_efficiency=0.5,
-                            dark_count_rate=HBT_DEFAULTS["dark_count_rate"],
-                            coincidence_window=DARK_WINDOW_WIDTHS * HBT_DEFAULTS["pulse_fwhm"],
-                            trials=4000, seed=11 + i)
-            result = hbt_monte_carlo(rho, cfg, n_offsets=0)
-            assert (mc[i]["g2_zero"], mc[i]["stderr"]) == (f"{result.g2_zero:.12g}",
-                                                            f"{result.stderr:.12g}")
+
+    def test_curve_monte_carlo_without_a_nonempty_row(self, tmp_path):
+        code, out = run(tmp_path, "g2", "--config", "reference-g2", "--grid", "0:0:2", "--mc")
+        assert code == 0
+        rows = read_csv_rows(out / "g2_curve.csv")
+        assert len(rows) == 2 and all(math.isnan(float(row["g2_zero"])) for row in rows)
+
+    def test_dim_beyond_binomial_overflow(self, tmp_path):
+        # C(n, k) overflows from n = 1,030; the split weights must not
+        argv = ("g2", "--config", "reference-g2", "--alpha-sq", "0.11", "--trials", "10000")
+        outs = [run(tmp_path / dim, *argv, "--dim", dim)[1] for dim in ("16", "1100")]
+        summaries = [read_json(out / "g2_summary.json") for out in outs]
+        assert summaries[0] == summaries[1]
+        assert summaries[1]["singles"] == [162, 196]
 
 
 class TestCsvFormat:

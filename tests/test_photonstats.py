@@ -2,22 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
 
 from photondistill.cavity import CavityParams
 from photondistill.distillation import DistillationConfig, distilled_populations, distilled_state
 from photondistill.errors import EmptyBranchError
-from photondistill.fockspace import DensityMatrix, coherent_state, fock_state, photon_statistics
+from photondistill.fockspace import (
+    DensityMatrix,
+    _binomials,
+    coherent_state,
+    fock_state,
+    photon_statistics,
+)
 from photondistill.photonstats import (
+    DARK_WINDOW_WIDTHS,
     MC_BLOCK,
     HBTConfig,
-    PulseShape,
     _click_outcomes,
     _sample_clicks,
+    _split_weights,
     bandwidth_check,
     click_g2,
-    g2_analytic,
-    g2_click_level,
     g2_curve,
     hbt_monte_carlo,
 )
@@ -32,7 +36,8 @@ G2_CONFIG = DistillationConfig(
     uncorrected_loss=0.135,
 )
 
-GAUSS_PULSE = PulseShape("gaussian", 2.3e-6, 0.11)
+# dark-count window of the paper's 2.3 us pulses
+DARK_WINDOW = DARK_WINDOW_WIDTHS * 2.3e-6
 
 
 def random_weak_state(rng, dim=6):
@@ -52,18 +57,18 @@ def random_weak_state(rng, dim=6):
 class TestG2Analytic:
     def test_coherent_poissonian(self):
         rho = coherent_state(0.8, 30).density_matrix()
-        assert abs(g2_analytic(rho) - 1.0) < 1e-3
+        assert abs(photon_statistics(rho).g2_zero - 1.0) < 1e-3
 
     def test_single_photon(self):
-        assert g2_analytic(fock_state(1, 6).density_matrix()) == 0.0
+        assert photon_statistics(fock_state(1, 6).density_matrix()).g2_zero == 0.0
 
     def test_vacuum_undefined(self):
-        assert g2_analytic(fock_state(0, 6).density_matrix()) is None
+        assert photon_statistics(fock_state(0, 6).density_matrix()).g2_zero is None
 
     def test_weak_distilled_light_is_antibunched(self):
         config = DistillationConfig(params=REFERENCE_PARAMS)
         rho, _ = distilled_state(config, math.sqrt(1e-3), dim=10)
-        assert g2_analytic(rho) < 0.01
+        assert photon_statistics(rho).g2_zero < 0.01
 
 
 class TestHBTMonteCarlo:
@@ -77,7 +82,7 @@ class TestHBTMonteCarlo:
         rng = np.random.default_rng(99)
         for _ in range(5):
             rho = random_weak_state(rng)
-            expected = g2_analytic(rho)
+            expected = photon_statistics(rho).g2_zero
             cfg = HBTConfig(detector_efficiency=1.0, dark_count_rate=0.0,
                             trials=4_000_000, seed=int(rng.integers(1 << 31)))
             result = hbt_monte_carlo(rho, cfg)
@@ -105,7 +110,7 @@ class TestHBTMonteCarlo:
     def test_published_point_with_dark_counts(self):
         rho, _ = distilled_state(G2_CONFIG, math.sqrt(0.11), dim=16)
         cfg = HBTConfig(detector_efficiency=0.05, dark_count_rate=20.0,
-                        coincidence_window=GAUSS_PULSE.dark_window(),
+                        coincidence_window=DARK_WINDOW,
                         trials=2_000_000, seed=12)
         result = hbt_monte_carlo(rho, cfg)
         assert abs(result.g2_zero - 0.045) < 0.02
@@ -113,20 +118,20 @@ class TestHBTMonteCarlo:
     def test_nonzero_offsets_uncorrelated(self):
         rho, _ = distilled_state(G2_CONFIG, math.sqrt(0.11), dim=16)
         cfg = HBTConfig(detector_efficiency=0.3, dark_count_rate=20.0,
-                        coincidence_window=GAUSS_PULSE.dark_window(),
+                        coincidence_window=DARK_WINDOW,
                         trials=1_000_000, seed=13)
         result = hbt_monte_carlo(rho, cfg, n_offsets=4)
         for tau in range(1, 5):
             assert abs(result.g2_tau[tau] - 1.0) < 0.05
 
     def test_pulse_shapes_agree_at_fixed_intensity(self):
-        # shape enters the statistics only through the total intensity
+        # shape enters the statistics only through the total intensity, and
+        # every pulse kind gates DARK_WINDOW_WIDTHS widths for dark counts
         rho, _ = distilled_state(G2_CONFIG, math.sqrt(0.11), dim=16)
         results = []
-        for kind, seed in (("gaussian", 21), ("double_peak", 22), ("rectangular", 23)):
-            pulse = PulseShape(kind, 2.3e-6, 0.11)
+        for seed in (21, 22, 23):  # gaussian, double_peak, rectangular
             cfg = HBTConfig(detector_efficiency=0.05, dark_count_rate=20.0,
-                            coincidence_window=pulse.dark_window(),
+                            coincidence_window=DARK_WINDOW,
                             trials=2_000_000, seed=seed)
             results.append(hbt_monte_carlo(rho, cfg))
         base = results[0]
@@ -154,7 +159,8 @@ class TestHBTMonteCarlo:
         rho, _ = distilled_state(G2_CONFIG, math.sqrt(0.3), dim=16)
         cfg = HBTConfig(detector_efficiency=0.2, dark_count_rate=20.0,
                         coincidence_window=6.9e-6, trials=4_000_000, seed=42)
-        exact = g2_click_level(rho, cfg.detector_efficiency, cfg.dark_probability)
+        exact = float(click_g2(rho.populations(), cfg.detector_efficiency,
+                               cfg.dark_probability))
         result = hbt_monte_carlo(rho, cfg)
         assert abs(result.g2_zero - exact) < 3.0 * result.stderr
 
@@ -195,7 +201,7 @@ def _mp_click_g2(populations, efficiency, dark_probability):
 class TestClickOutcomes:
     def test_paper_detector_against_50_digits(self):
         # at eta = 0.05 with 20/s x 6.9 us of darks, P(both click) is 5e-6..1e-3
-        eta, p_dark = 0.05, 20.0 * GAUSS_PULSE.dark_window()
+        eta, p_dark = 0.05, 20.0 * DARK_WINDOW
         pops, _ = distilled_populations(G2_CONFIG, np.array([1e-3, 0.11, 0.5, 1.5, 2.5]))
         both = _click_outcomes(pops, eta, p_dark)[:, 2]
         g2 = click_g2(pops, eta, p_dark)
@@ -203,6 +209,17 @@ class TestClickOutcomes:
             want_both, want_g2 = _mp_click_g2(row, eta, p_dark)
             assert abs(got_both / want_both - 1) <= 1e-13
             assert abs(got_g2 / want_g2 - 1) <= 1e-13
+
+
+class TestSplitWeights:
+    def test_equal_to_binomials_over_powers_of_two(self):
+        n = np.arange(1000)[:, None]
+        np.testing.assert_array_equal(_split_weights(1000), _binomials(1000) * 0.5 ** n)
+
+    def test_finite_where_binomials_overflow(self):
+        w = _split_weights(1100)
+        assert np.isfinite(w).all() and (w >= 0.0).all()
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-14)
 
 
 def _outcome_counts(c1, c2):
@@ -252,7 +269,7 @@ class TestClickSampler:
 class TestG2Curve:
     def test_curve_shape(self):
         cfg = HBTConfig(detector_efficiency=0.05, dark_count_rate=20.0,
-                        coincidence_window=GAUSS_PULSE.dark_window())
+                        coincidence_window=DARK_WINDOW)
         grid = [1e-3, 0.11, 0.5, 1.5, 2.5]
         rows = g2_curve(G2_CONFIG, grid, cfg)
         values = [row["g2_zero"] for row in rows]
@@ -264,13 +281,13 @@ class TestG2Curve:
 
     def test_dark_free_limit_vanishes(self):
         cfg = HBTConfig(detector_efficiency=0.05, dark_count_rate=0.0,
-                        coincidence_window=GAUSS_PULSE.dark_window())
+                        coincidence_window=DARK_WINDOW)
         rows = g2_curve(G2_CONFIG, [1e-3], cfg)
         assert rows[0]["g2_zero"] < 0.01
 
     def test_published_point_analytic(self):
         cfg = HBTConfig(detector_efficiency=0.05, dark_count_rate=20.0,
-                        coincidence_window=GAUSS_PULSE.dark_window())
+                        coincidence_window=DARK_WINDOW)
         rows = g2_curve(G2_CONFIG, [0.11], cfg)
         assert abs(rows[0]["g2_zero"] - 0.045) < 0.02
 
@@ -288,7 +305,8 @@ class TestG2CurveEquivalence:
                 rows.append((math.nan, math.nan))
                 continue
             g2_state = photon_statistics(rho).g2_zero
-            rows.append((g2_click_level(rho, cfg.detector_efficiency, cfg.dark_probability),
+            rows.append((float(click_g2(rho.populations(), cfg.detector_efficiency,
+                                        cfg.dark_probability)),
                          math.nan if g2_state is None else g2_state))
         return np.array(rows)
 
@@ -310,41 +328,43 @@ class TestG2CurveEquivalence:
 
     def test_paper_detector_relative(self):
         cfg = HBTConfig(detector_efficiency=0.05, dark_count_rate=20.0,
-                        coincidence_window=GAUSS_PULSE.dark_window())
+                        coincidence_window=DARK_WINDOW)
         rows = g2_curve(G2_CONFIG, self.GRID[1:], cfg)
         ref = self.per_point(G2_CONFIG, cfg, 40)[1:]
         np.testing.assert_allclose([row["g2_zero"] for row in rows], ref[:, 0], rtol=1e-9)
         np.testing.assert_allclose([row["g2_state"] for row in rows], ref[:, 1], rtol=1e-12)
 
 
-class TestPulseShape:
-    @pytest.mark.parametrize("kind", ["gaussian", "double_peak", "rectangular"])
-    def test_intensity_integrates_to_mean_photon_number(self, kind):
-        pulse = PulseShape(kind, 2.3e-6, 0.37)
-        t = np.linspace(-30e-6, 30e-6, 200_001)
-        total = trapezoid(pulse.intensity(t), t)
-        # rectangular edges quantize on the grid; smooth shapes are exact
-        tol = 5e-5 if kind == "rectangular" else 1e-6
-        assert abs(total - 0.37) < tol
-
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError):
-            PulseShape("triangle", 1e-6, 0.1)
-
-
 class TestBandwidthCheck:
     def test_reference_gaussian_pulse_is_narrow(self):
-        result = bandwidth_check(GAUSS_PULSE, REFERENCE_PARAMS)
+        result = bandwidth_check("gaussian", 2.3e-6, REFERENCE_PARAMS)
         assert result["valid"]
         assert abs(result["ratio"] - 0.192 / 2.5) < 0.01
 
     def test_short_rectangular_pulse_fails(self):
-        pulse = PulseShape("rectangular", 10e-9, 0.11)
-        result = bandwidth_check(pulse, REFERENCE_PARAMS)
+        result = bandwidth_check("rectangular", 10e-9, REFERENCE_PARAMS)
         assert not result["valid"]
 
     def test_long_pulse_limit(self):
-        pulse = PulseShape("gaussian", 1.0, 0.11)
-        result = bandwidth_check(pulse, REFERENCE_PARAMS)
+        result = bandwidth_check("gaussian", 1.0, REFERENCE_PARAMS)
         assert result["valid"]
         assert result["ratio"] < 1e-6
+
+    def test_invalid_kind(self):
+        with pytest.raises(ValueError):
+            bandwidth_check("triangle", 1e-6, REFERENCE_PARAMS)
+
+    @pytest.mark.parametrize("width", [0.0, -1e-6, math.nan])
+    def test_nonpositive_width(self, width):
+        with pytest.raises(ValueError, match="width"):
+            bandwidth_check("gaussian", width, REFERENCE_PARAMS)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "double_peak", "rectangular"])
+    def test_ratio_keeps_its_evaluation_order(self, kind):
+        # g2_summary.json prints the ratio to full precision, so its last bit counts
+        width, kappa = 2.3e-6, REFERENCE_PARAMS.kappa
+        if kind == "rectangular":
+            expected = 0.886 / width / 1e6 / kappa
+        else:
+            expected = 2.0 * math.log(2.0) / (math.pi * width) / 1e6 / kappa
+        assert bandwidth_check(kind, width, REFERENCE_PARAMS)["ratio"] == expected
