@@ -25,9 +25,15 @@ FIT_BOUNDS = {
     "delta_c": (0.0, 2.0),
 }
 N_RESTARTS = 8
+OBSERVATION_COLUMNS = ("alpha_sq", "p0", "p1", "p2")
 # Restarts within this relative distance of the lowest residual reached one
 # optimum: the first of them wins, so model rounding cannot pick the result
 FIT_TIE_RTOL = 1e-9
+# Levenberg-Marquardt stops once a step changes the cost by less than LM_FTOL
+# relative, or once no step lowers it at all (damping past LM_MAX_DAMPING)
+LM_FTOL = 1e-13
+LM_MAX_DAMPING = 1e16
+LM_MAX_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,22 @@ class LossBudget:
                 return cls(())
             _require_columns(path, reader.fieldnames, ("label", "loss"))
             return cls(tuple((row["label"], float(row["loss"])) for row in reader))
+
+
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """A box-bounded least-squares optimum.
+
+    cost = fun @ fun / 2 at x, jac = d fun / d x there, active_mask is -1 or
+    +1 where x sits on its lower or upper bound and 0 elsewhere.
+    """
+
+    x: np.ndarray
+    cost: float
+    fun: np.ndarray
+    jac: np.ndarray
+    active_mask: np.ndarray
+    success: bool
 
 
 @dataclass
@@ -90,22 +112,48 @@ def residual_loss(total: float, corrected: float) -> float:
     return max(value, 0.0)
 
 
-def _as_observation_array(observations) -> np.ndarray:
+def _as_observation_array(observations, where=None) -> np.ndarray:
+    """Observation rows as an array, every cell finite and p0..p2 in [0, 1].
+
+    where[i] names row i in an error message (default "row i").
+    """
     arr = np.asarray(observations, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError("observations must be rows of (alpha_sq, p0, p1, p2)")
+    bad = ~np.isfinite(arr)
+    bad[:, 1:] |= ~((arr[:, 1:] >= 0.0) & (arr[:, 1:] <= 1.0))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        rule = "finite" if col == 0 else "a probability in [0, 1]"
+        raise ValueError(f"{f'row {row}' if where is None else where[row]}: "
+                         f"column {OBSERVATION_COLUMNS[col]} = {float(arr[row, col])!r} "
+                         f"must be {rule}")
     if len(np.unique(arr[:, 0])) < 4:
         raise ValueError("need at least 4 rows with distinct alpha_sq")
     return arr
 
 
 def read_observations_csv(path) -> np.ndarray:
-    columns = ("alpha_sq", "p0", "p1", "p2")
+    """Observation rows from a CSV with alpha_sq,p0,p1,p2 columns.
+
+    A cell that is not a number, not finite or (p0..p2) outside [0, 1]
+    raises ValueError naming the file, its line and the column.
+    """
+    rows, lines = [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        _require_columns(path, reader.fieldnames, columns)
-        rows = [tuple(float(r[name]) for name in columns) for r in reader]
-    return _as_observation_array(rows)
+        _require_columns(path, reader.fieldnames, OBSERVATION_COLUMNS)
+        for record in reader:
+            lines.append(f"{path}:{reader.line_num}")
+            row = []
+            for name in OBSERVATION_COLUMNS:
+                try:
+                    row.append(float(record[name]))
+                except (TypeError, ValueError):  # TypeError: the row ended early
+                    raise ValueError(f"{lines[-1]}: column {name} = {record[name]!r} "
+                                     "is not a number") from None
+            rows.append(row)
+    return _as_observation_array(np.reshape(rows, (-1, 4)), where=lines)
 
 
 def fit_residuals(
@@ -121,6 +169,68 @@ def fit_residuals(
         corrected_loss=corrected_loss, n_max=3,
     )
     return (model - observations[:, 1:]).ravel()
+
+
+def _forward_jacobian(fun, x, f, upper, args) -> np.ndarray:
+    """Forward differences of `fun` at x, stepping down where up leaves the box."""
+    h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+    h = np.where(x + h > upper, -h, h)
+    jac = np.empty((f.size, x.size))
+    for i in range(x.size):
+        shifted = x.copy()
+        shifted[i] += h[i]
+        jac[:, i] = (fun(shifted, *args) - f) / (shifted[i] - x[i])
+    return jac
+
+
+def _levenberg_marquardt(fun, x0, lower, upper, args=()) -> LeastSquaresResult:
+    """Minimize sum(fun(x, *args)**2)/2 over lower <= x <= upper.
+
+    Levenberg-Marquardt with Marquardt's diagonal scaling (More, Lecture
+    Notes in Mathematics 630, 105 (1978)) on a forward-difference Jacobian.
+    A parameter on a bound whose gradient points out of the box is frozen
+    for the step, and a step is clipped into the box.  The damping rises x4
+    on a rejected step and falls /10 on an accepted one.  Converged: a step
+    changed the cost by less than LM_FTOL relative (the step is kept if it
+    lowered it), no step lowers it (damping past LM_MAX_DAMPING), or no
+    free parameter has a gradient; not converged after LM_MAX_STEPS steps.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    f = fun(x, *args)
+    cost = 0.5 * float(f @ f)
+    damping = 1e-3
+    jac = None
+    success = False
+    for _ in range(LM_MAX_STEPS):
+        if jac is None:  # x moved
+            jac = _forward_jacobian(fun, x, f, upper, args)
+            grad = jac.T @ f
+            free = ~(((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
+            normal = jac[:, free].T @ jac[:, free]
+            diagonal = np.diag(normal)
+            scale = np.diag(np.where(diagonal > 0.0, diagonal, 1.0))
+            if not np.any(grad[free]):
+                success = True
+                break
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(normal + damping * scale, -grad[free])
+        trial = np.clip(x + step, lower, upper)
+        f_trial = fun(trial, *args)
+        cost_trial = 0.5 * float(f_trial @ f_trial)
+        change = cost - cost_trial
+        if change > 0.0:
+            x, f, cost, jac = trial, f_trial, cost_trial, None
+            damping /= 10.0
+        else:
+            damping *= 4.0
+        if abs(change) <= LM_FTOL * cost or damping > LM_MAX_DAMPING:
+            success = bool(np.isfinite(cost))
+            break
+    if jac is None:
+        jac = _forward_jacobian(fun, x, f, upper, args)
+    active = np.where(x <= lower, -1, np.where(x >= upper, 1, 0))
+    return LeastSquaresResult(x=x, cost=cost, fun=f, jac=jac, active_mask=active,
+                              success=success)
 
 
 def _standard_errors(fit) -> dict:
@@ -152,14 +262,12 @@ def fit_imperfections(
 
     observations: rows of (alpha_sq, p0, p1, p2), already corrected for the
     downstream loss `corrected_loss` (the model applies the same
-    correction).  Bounded trust-region least squares (TRF) on the
-    `fit_residuals` vector from `restarts` starting points inside
-    `FIT_BOUNDS` (delta_c of either sign when the atom is detuned);
-    the lowest-index restart within FIT_TIE_RTOL of the lowest residual wins.
+    correction).  Box-bounded Levenberg-Marquardt on the `fit_residuals`
+    vector from `restarts` starting points inside `FIT_BOUNDS` (delta_c of
+    either sign when the atom is detuned); the lowest-index restart within
+    FIT_TIE_RTOL of the lowest residual wins.
     `stderr` holds each parameter's standard error at the winning optimum.
     """
-    from scipy.optimize import least_squares
-
     obs = _as_observation_array(observations)
     rng = np.random.default_rng(seed)
     lower, upper = np.array(list(FIT_BOUNDS.values())).T
@@ -169,10 +277,8 @@ def fit_imperfections(
     for _ in range(max(restarts - 1, 0)):
         starts.append(np.array([rng.uniform(lo, hi) for lo, hi in zip(lower, upper)]))
 
-    # TRF scales the gradient by the distance to the bound, so the default
-    # gtol (1e-8) stops ~1e-5 short of a parameter whose optimum is on it
-    runs = [least_squares(fit_residuals, x0, bounds=(lower, upper), method="trf",
-                          gtol=1e-12, args=(obs, params, corrected_loss)) for x0 in starts]
+    runs = [_levenberg_marquardt(fit_residuals, x0, lower, upper,
+                                  args=(obs, params, corrected_loss)) for x0 in starts]
     residuals = [2.0 * float(res.cost) for res in runs]
     tie = min(residuals) * (1.0 + FIT_TIE_RTOL)
     winner = next(i for i, value in enumerate(residuals) if value <= tie)

@@ -100,8 +100,6 @@ class RunWriter:
         return self.out_dir / name
 
     def manifest(self, command: str, config_path: str, seed: int):
-        import scipy
-
         payload = {
             "command": command,
             "config_path": config_path,
@@ -111,7 +109,6 @@ class RunWriter:
                 "photondistill": __version__,
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
             "outputs": list(self.outputs),
         }
@@ -191,7 +188,7 @@ def _conflict(args) -> str | None:
 def _add_common(parser, dim: bool = False):
     parser.add_argument("--config", default="reference",
                         help="preset name (reference, reference-g2, fiber) or config file path")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int_at_least("seed", 0), default=0)
     parser.add_argument("--out", default="out", help="output directory")
     if dim:  # only where a truncated density matrix is built
         parser.add_argument("--dim", type=_int_at_least("dim", 2), default=20,

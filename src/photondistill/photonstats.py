@@ -128,29 +128,47 @@ def click_g2(populations, efficiency: float, dark_probability: float) -> np.ndar
         return np.where(p1 > 0.0, both / (p1 * p1), np.nan)
 
 
-def _sample_clicks(outcomes, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _click_blocks(outcomes, trials: int, seed: int):
     """Click booleans of both arms for `trials` runs, one uniform per run.
 
     `outcomes` is one row of `_click_outcomes`.  The unit interval is cut
     into [arm 1 alone | both | arm 2 alone | silent], so arm 1 clicks below
     the second cut and arm 2 between the first and the third.  Trials come
-    in blocks of MC_BLOCK with one RNG substream each, so the clicks depend
-    only on (seed, trials), and a longer run extends a shorter one.
+    in blocks of MC_BLOCK with one RNG substream each, yielded as (arm 1,
+    arm 2) pairs, so the clicks depend only on (seed, trials), and a longer
+    run extends a shorter one.
     """
     silent, alone, both = outcomes
     cut1, cut2, cut3 = np.cumsum([alone, both, alone]) / (silent + 2.0 * alone + both)
-    c1 = np.empty(trials, dtype=bool)
-    c2 = np.empty(trials, dtype=bool)
     streams = np.random.SeedSequence(seed).spawn((trials + MC_BLOCK - 1) // MC_BLOCK)
     for block, stream in enumerate(streams):
-        start = block * MC_BLOCK
-        u = np.random.default_rng(stream).random(min(MC_BLOCK, trials - start))
-        arm1 = c1[start:start + len(u)]
-        arm2 = c2[start:start + len(u)]
-        np.less(u, cut2, out=arm1)
-        np.greater_equal(u, cut1, out=arm2)
-        arm2 &= u < cut3
-    return c1, c2
+        u = np.random.default_rng(stream).random(min(MC_BLOCK, trials - block * MC_BLOCK))
+        clicks = u < cut2, (u >= cut1) & (u < cut3)
+        del u  # else the next block's uniforms are drawn while these are held
+        yield clicks
+
+
+def _count_clicks(outcomes, trials: int, seed: int, n_offsets: int):
+    """Singles of both arms and coincidences of arm 1 of run i with arm 2 of
+    run i + tau, tau = 0 .. n_offsets, over the runs of `_click_blocks`.
+
+    Counted block by block: the last n_offsets arm-1 clicks carry across
+    each block edge, so memory does not grow with `trials`.
+    """
+    singles = np.zeros(2, dtype=np.int64)
+    counts = np.zeros(n_offsets + 1, dtype=np.int64)
+    carry = np.zeros(0, dtype=bool)  # arm 1 of the runs just before the block
+    for arm1, arm2 in _click_blocks(outcomes, trials, seed):
+        singles += np.count_nonzero(arm1), np.count_nonzero(arm2)
+        size, before = len(arm2), len(carry)
+        arm1 = np.concatenate([carry, arm1])  # run i of the block at before + i
+        for tau in range(n_offsets + 1):
+            first = max(tau - before, 0)  # first arm-2 run with a partner
+            if first < size:
+                counts[tau] += np.count_nonzero(
+                    arm1[before + first - tau:before + size - tau] & arm2[first:])
+        carry = arm1[max(len(arm1) - n_offsets, 0):].copy()
+    return singles, counts
 
 
 def _g2_estimate(coincidences, pairs, n1, n2, trials: int):
@@ -185,10 +203,7 @@ def hbt_monte_carlo(
                          f"for {cfg.trials} trials")
     outcomes = _click_outcomes(np.clip(rho.populations(), 0.0, None), cfg.detector_efficiency,
                                cfg.dark_probability)
-    c1, c2 = _sample_clicks(outcomes, cfg.trials, cfg.seed)
-    n1, n2 = np.array([np.count_nonzero(c1), np.count_nonzero(c2)])
-    counts = np.array([np.count_nonzero(c1[:cfg.trials - tau] & c2[tau:])
-                       for tau in range(n_offsets + 1)])
+    (n1, n2), counts = _count_clicks(outcomes, cfg.trials, cfg.seed, n_offsets)
     g2, se = _g2_estimate(counts, cfg.trials - np.arange(n_offsets + 1), n1, n2, cfg.trials)
     return HBTResult(
         g2_tau=g2,

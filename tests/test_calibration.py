@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from photondistill import calibration
 from photondistill.calibration import (
     FIT_BOUNDS,
     FIT_TIE_RTOL,
     N_RESTARTS,
     LossBudget,
+    _standard_errors,
     combine_losses,
     fit_imperfections,
     fit_residuals,
@@ -60,6 +62,30 @@ def nelder_mead_reference(observations, params, corrected_loss=0.251, restarts=N
     best = min(runs, key=lambda run: run.fun)  # first of equal residuals wins
     loss, eps, dc = clipped(best.x)
     return (loss, eps, abs(dc)), float(best.fun)
+
+
+def trf_reference(observations, params, corrected_loss=0.251, restarts=N_RESTARTS, seed=0):
+    """The trust-region fit that Levenberg-Marquardt replaced, kept as a reference.
+
+    SciPy's bounded TRF (gtol 1e-12) from `fit_imperfections`'s seeded
+    starts, with the same tie rule and standard errors.  Returns
+    ((loss, epsilon, delta_c), residual, stderr).
+    """
+    from scipy.optimize import least_squares
+
+    rng = np.random.default_rng(seed)
+    lower, upper = np.array(list(FIT_BOUNDS.values())).T
+    if params.delta_a != 0.0:
+        lower[2] = -upper[2]
+    starts = [np.array([0.3, 0.01, 0.0])]
+    for _ in range(max(restarts - 1, 0)):
+        starts.append(np.array([rng.uniform(lo, hi) for lo, hi in zip(lower, upper)]))
+    runs = [least_squares(fit_residuals, x0, bounds=(lower, upper), method="trf", gtol=1e-12,
+                          args=(observations, params, corrected_loss)) for x0 in starts]
+    residuals = [2.0 * float(run.cost) for run in runs]
+    tie = min(residuals) * (1.0 + FIT_TIE_RTOL)
+    best = runs[next(i for i, value in enumerate(residuals) if value <= tie)]
+    return tuple(best.x), 2.0 * float(best.cost), _standard_errors(best)
 
 
 class TestCombineLosses:
@@ -138,18 +164,17 @@ class TestFitImperfections:
     def test_restarts_within_the_tie_tolerance_go_to_the_lowest_index(
         self, monkeypatch, costs, winner
     ):
-        import scipy.optimize
         from types import SimpleNamespace
 
         calls = iter(range(len(costs)))
 
-        def stub(fun, x0, **kwargs):
+        def stub(fun, x0, *args, **kwargs):
             i = next(calls)
             return SimpleNamespace(x=np.array([0.1 * (i + 1), 0.01, 0.2]), cost=costs[i] / 2.0,
                                    success=True, fun=np.zeros(15), jac=np.eye(15, 3),
                                    active_mask=np.zeros(3, dtype=int))
 
-        monkeypatch.setattr(scipy.optimize, "least_squares", stub)
+        monkeypatch.setattr(calibration, "_levenberg_marquardt", stub)
         obs = synthetic_observations(REFERENCE_PARAMS, (0.2, 0.02, 0.5), ALPHA_GRID)
         result = fit_imperfections(obs, REFERENCE_PARAMS, restarts=len(costs))
         assert result.restarts == costs
@@ -246,6 +271,41 @@ class TestAgainstNelderMead:
         assert abs(result.loss - loss) <= 1e-6
         assert abs(result.epsilon - eps) <= 1e-6
         assert abs(result.delta_c - dc) <= 1e-6
+
+
+class TestAgainstTRF:
+    @pytest.mark.parametrize("noise_seed", range(1, 11))
+    def test_same_optimum_and_errors_as_the_trust_region_fit(self, noise_seed):
+        obs = synthetic_observations(CRITERION_11_PARAMS, CRITERION_11_TRUTH, ALPHA_GRID,
+                                     noise=0.01, seed=noise_seed)
+        result = fit_imperfections(obs, CRITERION_11_PARAMS, restarts=4)
+        theta, residual, stderr = trf_reference(obs, CRITERION_11_PARAMS, restarts=4)
+        assert result.converged
+        # the two solvers stop at rounding-level distances from one optimum,
+        # so "no higher" is the fit's own tie rule
+        assert result.residual <= residual * (1.0 + FIT_TIE_RTOL)
+        for name, value in zip(FIT_BOUNDS, theta):
+            assert abs(getattr(result, name) - value) <= 1e-7, name
+            assert result.stderr[name] == pytest.approx(stderr[name], rel=1e-6), name
+
+
+class TestLevenbergMarquardt:
+    def test_on_bound_parameter_is_frozen_and_reported_active(self):
+        # minimum of (x0 - 2)^2 + (x1 + 1)^2 over [0, 1]^2 sits on a corner
+        def fun(x):
+            return np.array([x[0] - 2.0, x[1] + 1.0])
+
+        fit = calibration._levenberg_marquardt(fun, [0.5, 0.5], np.zeros(2), np.ones(2))
+        assert fit.success
+        np.testing.assert_array_equal(fit.x, [1.0, 0.0])
+        np.testing.assert_array_equal(fit.active_mask, [1, -1])
+        np.testing.assert_allclose(fit.jac, np.eye(2), atol=1e-7)
+        assert fit.cost == pytest.approx(1.0)
+
+    def test_non_finite_model_does_not_converge(self):
+        fit = calibration._levenberg_marquardt(lambda x: np.full(3, np.nan), [0.5],
+                                               np.zeros(1), np.ones(1))
+        assert not fit.success
 
 
 class TestStandardErrors:

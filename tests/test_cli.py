@@ -359,6 +359,25 @@ class TestFit:
         assert 0.0 < report["stderr"]["loss"] < 0.01
         assert 0.0 < report["stderr"]["delta_c"] < 0.05
 
+    @pytest.mark.parametrize("line, message", [
+        ("0.35,5,-3,0.1", "obs.csv:3: column p0 = 5.0 must be a probability in [0, 1]"),
+        ("0.35,0.5,0.4,-1e-3", "obs.csv:3: column p2 = -0.001 must be a probability"),
+        ("0.35,0.5,nan,0.1", "obs.csv:3: column p1 = nan must be a probability"),
+        ("inf,0.5,0.4,0.1", "obs.csv:3: column alpha_sq = inf must be finite"),
+        ("0.35,0.5,0.4", "obs.csv:3: column p2 = None is not a number"),
+    ])
+    def test_observation_out_of_domain_exits_3_naming_line_and_column(
+        self, tmp_path, capsys, line, message
+    ):
+        path = tmp_path / "obs.csv"
+        rows = ["0.1,0.6,0.35,0.05", line, "0.85,0.5,0.4,0.1", "1.48,0.4,0.4,0.2",
+                "2.61,0.3,0.4,0.3"]
+        path.write_text("alpha_sq,p0,p1,p2\n" + "\n".join(rows) + "\n")
+        code, out = run(tmp_path, "fit", "--observations", str(path))
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
+
     def test_observations_without_p2_column_exit_3(self, tmp_path, capsys):
         path = tmp_path / "obs.csv"
         path.write_text("alpha_sq,p0,p1\n0.2,0.8,0.2\n")
@@ -460,6 +479,9 @@ class TestInputContract:
         (["fit", "--observations", "o.csv", "--restarts", "0"], "--restarts"),
         (["fit", "--observations", "o.csv", "--restarts=-4"], "--restarts"),
         (["budget", "--l-fit", "2"], "--l-fit"),
+        (["g2", "--alpha-sq", "0.1", "--seed=-1"], "--seed"),
+        (["tomography", "simulate", "--seed=-1"], "--seed"),
+        (["fit", "--observations", "o.csv", "--seed=-1"], "--seed"),
     ])
     def test_bad_input_exits_2_naming_the_argument(self, tmp_path, capsys, argv, argument):
         with pytest.raises(SystemExit) as err:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -78,16 +79,46 @@ class TestCombinatorics:
         # amplitudes beyond n = 300, where sqrt(n!) alone overflows a double
         assert abs(coherent_state(20.0, 1600).norm - 1.0) < 1e-12
 
-    def test_library_imports_no_scipy(self):
+    def test_library_imports_no_scipy(self, tmp_path):
+        # importing every module, then running every command at small sizes
         modules = ["photondistill"] + [f"photondistill.{name}" for name in
                                        ("fockspace", "distillation", "photonstats", "tomography",
                                         "calibration", "cli")]
-        code = (f"import sys, {', '.join(modules)}; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        code = f"import sys, {', '.join(modules)}\n" + textwrap.dedent("""
+            from photondistill.calibration import synthetic_observations
+            from photondistill.cli import main
+            from photondistill.presets import PRESETS
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            print(scipy_modules())
+            out = sys.argv[1]
+            obs = synthetic_observations(PRESETS["reference"].params, (0.35, 0.013, 0.39),
+                                         (0.1, 0.35, 0.85, 1.48, 2.61), noise=0.01, seed=1)
+            with open(f"{out}/obs.csv", "w") as fh:
+                fh.write("alpha_sq,p0,p1,p2\\n")
+                fh.writelines(",".join(map(repr, row.tolist())) + "\\n" for row in obs)
+            runs = [
+                ["params"],
+                ["sweep", "--grid", "0.1:1:3"],
+                ["wigner", "--grid=-1:1:3", "--dim", "4"],
+                ["g2", "--alpha-sq", "0.1", "--trials", "100", "--dim", "4", "--grid", "0.1:1:3"],
+                ["tomography", "simulate", "--samples", "120", "--dim", "4"],
+                ["tomography", "reconstruct", "--samples", f"{out}/4/samples.csv", "--dim", "4",
+                 "--max-iter", "5"],
+                ["fit", "--observations", f"{out}/obs.csv", "--restarts", "1"],
+                ["budget"],
+            ]
+            print([main([*argv, "--out", f"{out}/{i}"]) for i, argv in enumerate(runs)])
+            print(scipy_modules())
+        """)
         src = str(Path(photondistill.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert done.stdout.strip() == "[]"
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                              text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        lines = done.stdout.splitlines()
+        assert lines[0] == "[]"  # after the imports
+        assert lines[-2:] == ["[0, 0, 0, 0, 0, 4, 0, 0]", "[]"]  # after the commands
 
 
 class TestCoherentState:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from photondistill import photonstats
 from photondistill.cavity import CavityParams
 from photondistill.distillation import DistillationConfig, distilled_populations, distilled_state
 from photondistill.errors import EmptyBranchError
@@ -17,8 +19,9 @@ from photondistill.photonstats import (
     DARK_WINDOW_WIDTHS,
     MC_BLOCK,
     HBTConfig,
+    _click_blocks,
     _click_outcomes,
-    _sample_clicks,
+    _count_clicks,
     _split_weights,
     bandwidth_check,
     click_g2,
@@ -228,6 +231,38 @@ def _outcome_counts(c1, c2):
                      np.count_nonzero(~c1 & c2), np.count_nonzero(c1 & c2)])
 
 
+def sampled_clicks(outcomes, trials, seed):
+    """Both arms' click booleans over all `trials` runs, from `_click_blocks`."""
+    arm1, arm2 = zip(*_click_blocks(outcomes, trials, seed))
+    return np.concatenate(arm1), np.concatenate(arm2)
+
+
+def all_at_once_counts(outcomes, trials, seed, n_offsets):
+    """The counter that streaming replaced, kept as a reference.
+
+    Holds every run's clicks at once, drawn from the same per-block
+    uniforms, and counts singles and the tau = 0 .. n_offsets coincidences
+    over the whole arrays.
+    """
+    silent, alone, both = outcomes
+    cut1, cut2, cut3 = np.cumsum([alone, both, alone]) / (silent + 2.0 * alone + both)
+    block_size = photonstats.MC_BLOCK
+    c1 = np.empty(trials, dtype=bool)
+    c2 = np.empty(trials, dtype=bool)
+    streams = np.random.SeedSequence(seed).spawn((trials + block_size - 1) // block_size)
+    for block, stream in enumerate(streams):
+        start = block * block_size
+        u = np.random.default_rng(stream).random(min(block_size, trials - start))
+        arm1 = c1[start:start + len(u)]
+        arm2 = c2[start:start + len(u)]
+        np.less(u, cut2, out=arm1)
+        np.greater_equal(u, cut1, out=arm2)
+        arm2 &= u < cut3
+    singles = [np.count_nonzero(c1), np.count_nonzero(c2)]
+    counts = [np.count_nonzero(c1[:trials - tau] & c2[tau:]) for tau in range(n_offsets + 1)]
+    return singles, counts
+
+
 class TestClickSampler:
     @pytest.mark.parametrize("state", ["coherent", "distilled", "weak"])
     def test_outcome_counts_follow_the_joint_distribution(self, state):
@@ -241,7 +276,7 @@ class TestClickSampler:
         eta, p_dark = 0.3, 2000.0 * 6.9e-6
         silent, alone, both = _click_outcomes(rho.populations(), eta, p_dark)
         expected = trials * np.array([silent, alone, alone, both]) / (silent + 2 * alone + both)
-        counts = _outcome_counts(*_sample_clicks((silent, alone, both), trials, seed=51))
+        counts = _outcome_counts(*sampled_clicks((silent, alone, both), trials, seed=51))
         assert counts.sum() == trials
         sigma = np.sqrt(expected * (1.0 - expected / trials))
         assert np.all(np.abs(counts - expected) <= 5.0 * sigma)
@@ -257,13 +292,47 @@ class TestClickSampler:
     def test_longer_run_extends_shorter_one(self):
         pops = coherent_state(0.6, 10).density_matrix().populations()
         outcomes = _click_outcomes(pops, 0.4, 0.01)
-        short = _sample_clicks(outcomes, MC_BLOCK, seed=9)
-        long = _sample_clicks(outcomes, MC_BLOCK + 17, seed=9)
-        again = _sample_clicks(outcomes, MC_BLOCK + 17, seed=9)
+        short = sampled_clicks(outcomes, MC_BLOCK, seed=9)
+        long = sampled_clicks(outcomes, MC_BLOCK + 17, seed=9)
+        again = sampled_clicks(outcomes, MC_BLOCK + 17, seed=9)
         for arm_short, arm_long, arm_again in zip(short, long, again):
             assert len(arm_long) == MC_BLOCK + 17
             np.testing.assert_array_equal(arm_long, arm_again)
             np.testing.assert_array_equal(arm_long[:MC_BLOCK], arm_short)
+
+
+class TestStreamedCounts:
+    # bright and lossless enough that most runs click, so every block edge
+    # carries coincidences
+    OUTCOMES = _click_outcomes(coherent_state(1.5, 16).density_matrix().populations(), 0.9, 0.2)
+
+    @pytest.mark.parametrize("n_offsets", [0, 5])
+    @pytest.mark.parametrize("trials", [3 * MC_BLOCK + 1, MC_BLOCK + 3, 7])
+    def test_counts_equal_the_all_at_once_counter(self, trials, n_offsets):
+        singles, counts = _count_clicks(self.OUTCOMES, trials, 4, n_offsets)
+        ref_singles, ref_counts = all_at_once_counts(self.OUTCOMES, trials, 4, n_offsets)
+        assert singles.tolist() == ref_singles
+        assert counts.tolist() == ref_counts
+
+    def test_offsets_longer_than_a_block_carry_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(photonstats, "MC_BLOCK", 16)
+        for trials in (7, 16, 17, 49, 50):
+            for n_offsets in range(trials):
+                singles, counts = _count_clicks(self.OUTCOMES, trials, 2, n_offsets)
+                ref_singles, ref_counts = all_at_once_counts(self.OUTCOMES, trials, 2, n_offsets)
+                assert singles.tolist() == ref_singles
+                assert counts.tolist() == ref_counts, (trials, n_offsets)
+
+    def test_memory_does_not_grow_with_trials(self):
+        peaks = []
+        for trials in (MC_BLOCK, 3 * MC_BLOCK):
+            tracemalloc.start()
+            try:
+                _count_clicks(self.OUTCOMES, trials, 1, 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestG2Curve:
