@@ -6,6 +6,7 @@ All rates and detunings are in units of 2*pi*MHz.  The atom either couples
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,8 +38,11 @@ class CavityParams:
     delta_c: float = 0.0
 
     def __post_init__(self):
-        for name in ("g", "kappa", "kappa_r", "kappa_t", "kappa_m", "gamma"):
-            if getattr(self, name) < 0:
+        for name in CONFIG_KEYS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < 0 and name not in ("delta_a", "delta_c"):
                 raise ValueError(f"{name} must be nonnegative")
         channel_sum = self.kappa_r + self.kappa_t + self.kappa_m
         if abs(self.kappa - channel_sum) > RATE_SUM_TOL:

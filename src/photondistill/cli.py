@@ -38,7 +38,7 @@ from .photonstats import (
 )
 from .presets import HBT_DEFAULTS, budget_csv_path, resolve_config
 from .tomography import (
-    CSV_BLOCK,
+    _csv_chunks,
     mle_reconstruct,
     read_samples_csv,
     reconstruction_report,
@@ -72,34 +72,20 @@ class RunWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
 
-    def write_csv(self, name: str, fieldnames, rows):
-        """Write dict rows as CSV: floats as %.12g, other values by str()."""
-        width = len(fieldnames)
-        values = [row[key] for row in rows for key in fieldnames]
-        formats = []
-        for col in range(width):
-            column = values[col::width]
-            if set(map(type, column)) == {float}:
-                formats.append("%.12g")
-            else:  # mixed types: cell by cell
-                formats.append("%s")
-                values[col::width] = [f"{v:.12g}" if isinstance(v, float) else str(v)
-                                      for v in column]
-        # one format pass per block of rows, as in write_samples_csv
-        line = ",".join(formats) + "\n"
-        step = CSV_BLOCK * width
-        blocks = [values[start:start + step] for start in range(0, len(values), step)]
-        body = "".join(line * (len(block) // width) % tuple(block) for block in blocks)
-        _atomic_write(self.out_dir / name, ",".join(fieldnames) + "\n" + body)
+    def write_csv(self, name: str, table: np.ndarray):
+        """Write a record array as CSV, one column per field in field order."""
+        _atomic_write(self.out_dir / name, "".join(_csv_chunks(table, "\n")))
         self.outputs.append(name)
         return self.out_dir / name
 
     def write_json(self, name: str, payload: dict):
-        _atomic_write(self.out_dir / name, json.dumps(payload, indent=2) + "\n")
+        """Write strict (RFC 8259) JSON: NaN and infinities become null."""
+        strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        _atomic_write(self.out_dir / name, json.dumps(strict, indent=2, allow_nan=False) + "\n")
         self.outputs.append(name)
         return self.out_dir / name
 
-    def manifest(self, command: str, config_path: str, seed: int):
+    def manifest(self, command: str, config_path: str, seed: int | None):
         payload = {
             "command": command,
             "config_path": config_path,
@@ -185,10 +171,11 @@ def _conflict(args) -> str | None:
     return None
 
 
-def _add_common(parser, dim: bool = False):
+def _add_common(parser, dim: bool = False, seed: bool = False):
     parser.add_argument("--config", default="reference",
                         help="preset name (reference, reference-g2, fiber) or config file path")
-    parser.add_argument("--seed", type=_int_at_least("seed", 0), default=0)
+    if seed:  # only where a random stream is drawn
+        parser.add_argument("--seed", type=_int_at_least("seed", 0), default=0)
     parser.add_argument("--out", default="out", help="output directory")
     if dim:  # only where a truncated density matrix is built
         parser.add_argument("--dim", type=_int_at_least("dim", 2), default=20,
@@ -221,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uncorrected", dest="corrected", action="store_false", default=True)
 
     p = sub.add_parser("g2", help="second-order correlation predictions")
-    _add_common(p, dim=True)
+    _add_common(p, dim=True, seed=True)
     p.add_argument("--alpha-sq", type=_alpha_sq, default=None,
                    help="single-point Monte Carlo at this intensity, on --dim levels")
     p.add_argument("--grid", type=_alpha_sq_grid, default=None,
@@ -243,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomography", help="synthetic homodyne records and reconstruction")
     tomo_sub = p.add_subparsers(dest="mode", required=True)
     sim = tomo_sub.add_parser("simulate", help="draw homodyne samples")
-    _add_common(sim, dim=True)
+    _add_common(sim, dim=True, seed=True)
     sim.add_argument("--state", default="distilled", choices=["distilled", "coherent"])
     sim.add_argument("--alpha-sq", type=_alpha_sq, default=0.31)
     sim.add_argument("--phases", type=_int_at_least("phases", 1), default=12)
@@ -259,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--tol", type=_real("tol", 0.0, open_low=True), default=1e-9)
 
     p = sub.add_parser("fit", help="fit loss, detection error and detuning to populations")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--observations", required=True, help="CSV with alpha_sq,p0,p1,p2")
     p.add_argument("--corrected-loss", type=_real("corrected loss", 0.0, 1.0, open_high=True),
                    default=0.251)
@@ -300,16 +287,13 @@ def cmd_params(args, writer: RunWriter) -> int:
 def cmd_sweep(args, writer: RunWriter) -> int:
     config = resolve_config(args.config)
     rows = sweep_rows(config, args.grid, corrected=args.corrected)
-    fields = ["alpha_sq", "p_up", "f1", "p0", "p1", "p2", "p3",
-              "suppression", "suppression_rel", "coherent_ref"]
-    writer.write_csv("sweep.csv", fields, rows)
-    finite = [r for r in rows if not math.isnan(r["f1"])]
-    best = max(finite, key=lambda r: r["f1"]) if finite else None
+    writer.write_csv("sweep.csv", rows)
+    best = None if np.isnan(rows.f1).all() else rows[np.nanargmax(rows.f1)]
     summary = {
         "rows": len(rows),
         "corrected": args.corrected,
-        "max_f1": None if best is None else best["f1"],
-        "argmax_alpha_sq": None if best is None else best["alpha_sq"],
+        "max_f1": None if best is None else float(best.f1),
+        "argmax_alpha_sq": None if best is None else float(best.alpha_sq),
     }
     writer.write_json("sweep_summary.json", summary)
     return EXIT_OK
@@ -323,11 +307,8 @@ def cmd_wigner(args, writer: RunWriter) -> int:
     )
     Q, P = np.meshgrid(axis, axis, indexing="ij")
     W = wigner(rho, Q, P)
-    rows = [
-        {"q": q, "p": p, "w": w}
-        for q, p, w in zip(Q.ravel().tolist(), P.ravel().tolist(), W.ravel().tolist())
-    ]
-    writer.write_csv("wigner.csv", ["q", "p", "w"], rows)
+    writer.write_csv("wigner.csv", np.rec.fromarrays([Q.ravel(), P.ravel(), W.ravel()],
+                                                     names="q,p,w"))
     imin = int(np.argmin(W))
     summary = {
         "alpha_sq": args.alpha_sq,
@@ -355,17 +336,13 @@ def cmd_g2(args, writer: RunWriter) -> int:
     if args.alpha_sq is None and args.grid is None:
         raise ModelError("g2 needs --alpha-sq (point mode) or --grid (curve mode)")
     if args.grid is not None:
-        rows = g2_curve(config, args.grid, hbt, monte_carlo=args.mc)
-        writer.write_csv("g2_curve.csv", ["alpha_sq", "g2_zero", "stderr", "g2_state"], rows)
+        writer.write_csv("g2_curve.csv", g2_curve(config, args.grid, hbt, monte_carlo=args.mc))
     if args.alpha_sq is not None:
         rho, _ = distilled_state(config, math.sqrt(args.alpha_sq), dim=args.dim)
         result = hbt_monte_carlo(rho, hbt, n_offsets=args.offsets)
-        rows = [
-            {"tau_index": tau, "g2": float(result.g2_tau[tau]),
-             "stderr": float(result.stderr_tau[tau])}
-            for tau in range(len(result.g2_tau))
-        ]
-        writer.write_csv("g2_tau.csv", ["tau_index", "g2", "stderr"], rows)
+        tau = np.arange(len(result.g2_tau))
+        writer.write_csv("g2_tau.csv", np.rec.fromarrays(
+            [tau, result.g2_tau, result.stderr_tau], names="tau_index,g2,stderr"))
         check = bandwidth_check(args.pulse_kind, args.pulse_fwhm, config.params)
         summary = {
             "alpha_sq": args.alpha_sq,
@@ -469,9 +446,8 @@ def main(argv=None) -> int:
         code = COMMANDS[args.command](args, writer)
     except (ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        writer.manifest(args.command, getattr(args, "config", ""), args.seed)
-        return EXIT_MODEL
-    writer.manifest(args.command, getattr(args, "config", ""), args.seed)
+        code = EXIT_MODEL
+    writer.manifest(args.command, getattr(args, "config", ""), getattr(args, "seed", None))
     return code
 
 

@@ -476,8 +476,8 @@ def sweep_rows(
     config: DistillationConfig,
     alpha_sq_values,
     corrected: bool = True,
-) -> list[dict]:
-    """Per-alpha^2 summary of the odd-heralded pipeline for CSV emission.
+) -> np.recarray:
+    """Per-alpha^2 summary of the odd-heralded pipeline, one record per alpha^2.
 
     Populations are exact (`distilled_populations`); zero-probability
     branches are recorded with NaN markers instead of aborting the sweep.
@@ -490,17 +490,7 @@ def sweep_rows(
     coh_tail = _coherent_tail(a2)
     with np.errstate(divide="ignore", invalid="ignore"):
         suppression_rel = np.where(coh_tail > 0.0, 1.0 - tail / coh_tail, np.nan)
-    columns = {
-        "alpha_sq": a2,
-        "coherent_ref": a2 * np.exp(-a2),
-        "p_up": p_up,
-        "f1": pops[:, 1],
-        "p0": pops[:, 0],
-        "p1": pops[:, 1],
-        "p2": pops[:, 2],
-        "p3": pops[:, 3],
-        "suppression": 1.0 - tail,
-        "suppression_rel": suppression_rel,
-    }
-    names = list(columns)
-    return [dict(zip(names, row)) for row in zip(*(col.tolist() for col in columns.values()))]
+    return np.rec.fromarrays(
+        [a2, p_up, pops[:, 1], pops[:, 0], pops[:, 1], pops[:, 2], pops[:, 3], 1.0 - tail,
+         suppression_rel, a2 * np.exp(-a2)],
+        names="alpha_sq,p_up,f1,p0,p1,p2,p3,suppression,suppression_rel,coherent_ref")

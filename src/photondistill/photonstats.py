@@ -221,8 +221,8 @@ def g2_curve(
     alpha_sq_grid,
     cfg: HBTConfig,
     monte_carlo: bool = False,
-) -> list[dict]:
-    """Expected g2(0) of the odd-heralded light versus input intensity.
+) -> np.recarray:
+    """Expected g2(0) of the odd-heralded light versus input intensity, one record per alpha^2.
 
     Uses the exact click-level expectation including dark counts on the
     exact populations (`distilled_populations`), over the whole grid at
@@ -246,9 +246,8 @@ def g2_curve(
         both = counts[:, 0]
         g2_zero[nonempty], stderr[nonempty] = _g2_estimate(
             both, cfg.trials, both + counts[:, 1], both + counts[:, 2], cfg.trials)
-    columns = {"alpha_sq": alpha_sq, "g2_zero": g2_zero, "stderr": stderr,
-               "g2_state": number_g2(pops)}
-    return [dict(zip(columns, row)) for row in zip(*(col.tolist() for col in columns.values()))]
+    return np.rec.fromarrays([alpha_sq, g2_zero, stderr, number_g2(pops)],
+                             names="alpha_sq,g2_zero,stderr,g2_state")
 
 
 def bandwidth_check(kind: str, width: float, params: CavityParams) -> dict:

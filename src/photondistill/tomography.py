@@ -46,6 +46,19 @@ def quadrature_record(theta, x) -> np.recarray:
     return np.rec.fromarrays([theta, np.asarray(x, dtype=float)], names="theta,x")
 
 
+def _csv_chunks(table: np.ndarray, end: str):
+    """CSV text of a record array: field-name header, integer fields %d, the rest %.12g."""
+    names = table.dtype.names
+    yield ",".join(names) + end
+    line = ",".join("%d" if table.dtype[name].kind in "iu" else "%.12g" for name in names) + end
+    # one % pass per CSV_BLOCK rows: a single pass over a large record leaves
+    # multi-MB temporaries that fragment the heap across repeated calls
+    for start in range(0, len(table), CSV_BLOCK):
+        rows = table[start:start + CSV_BLOCK]
+        values = np.column_stack([rows[name] for name in names]).ravel().tolist()
+        yield line * len(rows) % tuple(values)
+
+
 @dataclass
 class ReconstructionResult:
     rho: DensityMatrix
@@ -237,15 +250,9 @@ def loss_correct(rho: DensityMatrix, loss: float) -> DensityMatrix:
 
 
 def write_samples_csv(path, samples):
-    """Write a `theta,x` CSV: `%.12g` values and CRLF line ends."""
-    values = np.column_stack([samples.theta, samples.x])
+    """Write a `quadrature_record` as a `theta,x` CSV: `%.12g` values, CRLF line ends."""
     with open(path, "w", newline="") as fh:
-        fh.write("theta,x\r\n")
-        # one format pass per block: a single pass over a large record leaves
-        # multi-MB temporaries that fragment the heap across repeated calls
-        for start in range(0, len(values), CSV_BLOCK):
-            block = values[start:start + CSV_BLOCK]
-            fh.write("%.12g,%.12g\r\n" * len(block) % tuple(block.ravel().tolist()))
+        fh.writelines(_csv_chunks(samples, "\r\n"))
 
 
 def read_samples_csv(path) -> np.recarray:

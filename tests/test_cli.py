@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from photondistill.cli import CSV_BLOCK, RunWriter, main
+from photondistill.cli import RunWriter, main
+from photondistill.tomography import CSV_BLOCK
 
 
 def run(tmp_path, *argv):
@@ -26,13 +27,13 @@ def read_csv_rows(path):
         return list(csv.DictReader(fh))
 
 
-def per_cell_csv(fieldnames, rows):
-    """Reference: the CSV written cell by cell, floats as %.12g, the rest by str()."""
+def per_cell_csv(table):
+    """Reference: a record array written cell by cell, floats as %.12g, the rest by str()."""
     def cell(value):
         return f"{value:.12g}" if isinstance(value, float) else str(value)
 
-    lines = [",".join(fieldnames)]
-    lines += [",".join(cell(row[key]) for key in fieldnames) for row in rows]
+    lines = [",".join(table.dtype.names)]
+    lines += [",".join(map(cell, row)) for row in table.tolist()]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -64,6 +65,18 @@ class TestParams:
         assert report["cooperativity"] == 0.0
         assert report["f1_max"] == 0.0
 
+    @pytest.mark.parametrize("command", ["params", "sweep"])
+    @pytest.mark.parametrize("key, value", [("g", "nan"), ("kappa_m", "inf")])
+    def test_non_finite_rate_exits_3_naming_it(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            "g = 10.0\nkappa = 2.5\nkappa_r = 2.3\nkappa_t = 0.2\nkappa_m = 0.0\n"
+            "gamma = 3.0\ndelta_a = 0.0\ndelta_c = 0.0\n" + f"{key} = {value}\n"
+        )
+        code, _ = run(tmp_path, command, "--config", str(cfg))
+        assert code == 3
+        assert f"{key} must be finite" in capsys.readouterr().err
+
     def test_malformed_config_exits_3(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("g = not-a-number\n")
@@ -78,6 +91,7 @@ class TestParams:
         for name in manifest["outputs"]:
             assert (out / name).exists()
         assert "photondistill" in manifest["versions"]
+        assert manifest["seed"] is None  # params draws no random numbers
 
 
 class TestSweep:
@@ -106,6 +120,20 @@ class TestSweep:
         rows = read_csv_rows(out / "sweep.csv")
         exact = sweep_rows(resolve_config("reference"), [40.0])[0]
         assert rows[-1]["p1"] == f"{exact['p1']:.12g}" == "3.19253790992e-09"
+
+    def test_summary_skips_empty_heralds(self, tmp_path):
+        code, out = run(tmp_path / "a", "sweep", "--grid", "0:2.5:11")
+        assert code == 0
+        rows = [row for row in read_csv_rows(out / "sweep.csv") if row["f1"] != "nan"]
+        assert len(rows) == 10  # alpha^2 = 0 heralds nothing
+        best = max(rows, key=lambda row: float(row["f1"]))
+        summary = read_json(out / "sweep_summary.json")
+        assert f"{summary['max_f1']:.12g}" == best["f1"]
+        assert f"{summary['argmax_alpha_sq']:.12g}" == best["alpha_sq"]
+        code, out = run(tmp_path / "b", "sweep", "--grid", "0:0:3")
+        assert code == 0
+        assert read_json(out / "sweep_summary.json") == {
+            "rows": 3, "corrected": True, "max_f1": None, "argmax_alpha_sq": None}
 
     def test_deterministic_output_bytes(self, tmp_path):
         _, out1 = run(tmp_path / "a", "sweep", "--grid", "0.1:0.5:3")
@@ -173,6 +201,17 @@ class TestG2:
         assert values[-1] < 1.0
         assert values[0] < values[-1]
 
+    def test_undefined_stderr_is_null_in_strict_json(self, tmp_path):
+        # 1,000 trials of a faint pulse see no coincidence, so g2(0)'s stderr is undefined
+        code, out = run(tmp_path, "g2", "--alpha-sq", "0.01", "--trials", "1000", "--dim", "8")
+        assert code == 0
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not RFC 8259 JSON")
+
+        summary = json.loads((out / "g2_summary.json").read_text(), parse_constant=reject)
+        assert summary["stderr"] is None
+
     def test_requires_mode(self, tmp_path):
         code, _ = run(tmp_path, "g2")
         assert code == 3
@@ -225,9 +264,9 @@ class TestCsvFormat:
         written = {}
         write_csv = RunWriter.write_csv
 
-        def capture(self, name, fieldnames, rows):
-            path = write_csv(self, name, fieldnames, rows)
-            written[name] = per_cell_csv(fieldnames, rows), path
+        def capture(self, name, table):
+            path = write_csv(self, name, table)
+            written[name] = per_cell_csv(table), path, table.dtype.names
             return path
 
         monkeypatch.setattr(RunWriter, "write_csv", capture)
@@ -241,8 +280,15 @@ class TestCsvFormat:
         for i, argv in enumerate(commands):
             code, _ = run(tmp_path / str(i), *argv)
             assert code == 0
-        assert set(written) == {"sweep.csv", "g2_curve.csv", "g2_tau.csv", "wigner.csv"}
-        for expected, path in written.values():
+        # sweep_rows and g2_curve are written as they are: their fields are the headers
+        assert {name: names for name, (_, _, names) in written.items()} == {
+            "sweep.csv": ("alpha_sq", "p_up", "f1", "p0", "p1", "p2", "p3",
+                          "suppression", "suppression_rel", "coherent_ref"),
+            "g2_curve.csv": ("alpha_sq", "g2_zero", "stderr", "g2_state"),
+            "g2_tau.csv": ("tau_index", "g2", "stderr"),
+            "wigner.csv": ("q", "p", "w"),
+        }
+        for expected, path, _ in written.values():
             assert path.read_bytes() == expected
 
     def test_special_values_across_block_boundaries(self, tmp_path):
@@ -250,14 +296,12 @@ class TestCsvFormat:
         specials = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2e-308,
                     1e300, 123456789012345.0, 0.1]
         randoms = rng.standard_normal(CSV_BLOCK) * 10.0 ** rng.integers(-30, 30, CSV_BLOCK)
-        rows = [
-            {"x": x, "n": i, "mixed": None if i % 7 == 0 else x, "np": np.float64(x)}
-            for i, x in enumerate(specials + randoms.tolist())
-        ]
-        fields = ["x", "n", "mixed", "np"]
+        x = np.array(specials + randoms.tolist())
+        # 13-digit integers: beyond %.12g, so the integer field must be written as %d
+        table = np.rec.fromarrays([x, 10**12 + np.arange(len(x))], names="x,n")
         writer = RunWriter(str(tmp_path))
-        assert writer.write_csv("rows.csv", fields, rows).read_bytes() == per_cell_csv(fields, rows)
-        assert writer.write_csv("empty.csv", fields, []).read_bytes() == b"x,n,mixed,np\n"
+        assert writer.write_csv("rows.csv", table).read_bytes() == per_cell_csv(table)
+        assert writer.write_csv("empty.csv", table[:0]).read_bytes() == b"x,n\n"
 
 
 class TestTomography:
@@ -503,3 +547,13 @@ class TestInputContract:
             main([*command, "--dim", "20", "--out", str(tmp_path / "o")])
         assert err.value.code == 2
         assert "unrecognized arguments: --dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["params"], ["sweep"], ["wigner"], ["budget"],
+        ["tomography", "reconstruct", "--samples", "s.csv"],
+    ])
+    def test_seed_only_where_a_random_stream_is_drawn(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--seed", "1", "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
